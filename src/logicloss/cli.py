@@ -13,6 +13,7 @@ from logicloss.constraints import builtin_tables, make_parse_context, synthetic_
 from logicloss.experiment import (
     LAMBDA_GRID,
     ExperimentConfig,
+    error_message,
     lambda_sweep,
     load_config,
     report_lines,
@@ -225,7 +226,7 @@ def main(argv=None):
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
     try:
         if args.command == "eval":
@@ -236,16 +237,16 @@ def main(argv=None):
             return _sweep_command(args)
         return _tables_command(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
     except (TrainingDiverged, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 2
     except (ValueError, LookupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
 
 

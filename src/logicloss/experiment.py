@@ -63,8 +63,11 @@ class ExperimentConfig:
     hidden: tuple = (64,)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("epochs", "batch_size", "n_train", "n_test", "n_classes", "dims"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
         if self.lam < 0.0:
             raise ValueError("lambda must be non-negative")
 
@@ -250,9 +253,8 @@ def run(cfg):
                     model, batch, cfg.lam, backend, train_formula, opt
                 )
             except Exception as exc:
-                raise type(exc)(
-                    f"backend={cfg.backend} lambda={cfg.lam} epoch={epoch}: {exc}"
-                ) from exc
+                _add_note(exc, f"backend={cfg.backend} lambda={cfg.lam} epoch={epoch}")
+                raise
             ce_total += ce * len(sl)
             logic_total += logic * len(sl)
         reports.append(
@@ -265,6 +267,21 @@ def run(cfg):
             )
         )
     return reports
+
+
+def _add_note(exc, note):
+    """Attach `note` to `exc` as a PEP 678 note, keeping its type and args.
+
+    Python 3.11 tracebacks print notes; `error_message` puts them in front
+    of the message.  Written out rather than calling `exc.add_note`, which
+    Python 3.10 lacks.
+    """
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
+def error_message(exc):
+    """One line: the notes attached to `exc`, then its own message."""
+    return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
 
 
 def select_result(reports, window=10, key="product"):

@@ -6,9 +6,11 @@ worse violation, conjunction adds, disjunction multiplies.  The second family
 works in fuzzy truth values on [0,1] built from a t-norm, its s-norm, and a
 fuzzy implication; the training loss is then 1 - truth.
 
-All operator functions accept plain floats or autodiff Nodes and return the
-same kind, so one implementation serves training, evaluation, and the
-finite-difference oracles.
+All operator functions accept plain floats, arrays over a batch axis, or
+autodiff Nodes holding either, and return the same kind, so one
+implementation serves batched training, per-sample evaluation, and the
+finite-difference oracles.  On a batch, every branch below is a masked
+select (`autodiff.select`) that applies the scalar rule row by row.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -26,9 +28,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .autodiff import (
     Node,
     report_margin,
+    select,
     val,
     vabs,
     vmax,
@@ -114,7 +119,11 @@ def n_standard(x):
 
 def i_godel(x, y):
     xv, yv = val(x), val(y)
-    report_margin(abs(xv - yv))
+    d = xv - yv
+    if type(d) is not float and isinstance(d, np.ndarray):
+        report_margin(np.abs(d))
+        return select(xv <= yv, 1.0, y)
+    report_margin(abs(d))
     if xv <= yv:
         return 1.0
     return y
@@ -135,7 +144,16 @@ def i_yager(x, y):
 
 def i_goguen(x, y):
     xv, yv = val(x), val(y)
-    report_margin(abs(xv - yv))
+    d = xv - yv
+    if type(d) is not float and isinstance(d, np.ndarray):
+        report_margin(np.abs(d))
+        divide = xv > yv
+        if not divide.any():
+            return 1.0
+        report_margin(np.where(divide, xv, np.inf))
+        # rows that return 1 divide by a stand-in 1, so their x may be 0
+        return select(divide, y / select(divide, x, 1.0), 1.0)
+    report_margin(abs(d))
     if xv <= yv:
         return 1.0
     report_margin(xv)  # y/x steepens without bound as x -> 0
@@ -157,6 +175,11 @@ def _clip01(x):
     endpoints) without flattening the gradient the way a min/max clamp would.
     """
     v = val(x)
+    if type(v) is not float and isinstance(v, np.ndarray):
+        if v.min() >= 0.0 and v.max() <= 1.0:
+            return x
+        c = np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
+        return Node(c, (x,), (1.0,)) if isinstance(x, Node) else c
     c = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
     if isinstance(x, Node):
         if c == v:
@@ -260,9 +283,13 @@ def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def _dl2_eq_indicator(x, y) -> float:
+def _dl2_eq_indicator(x, y):
     xv, yv = val(x), val(y)
-    report_margin(abs(xv - yv))
+    d = xv - yv
+    if type(d) is not float and isinstance(d, np.ndarray):
+        report_margin(np.abs(d))
+        return np.equal(xv, yv).astype(float)
+    report_margin(abs(d))
     return 1.0 if xv == yv else 0.0
 
 

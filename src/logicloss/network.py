@@ -3,13 +3,15 @@
 The training loss is ``ce + lam * logic`` where ``ce`` is mean
 cross-entropy and ``logic`` is the mean compiled constraint loss over the
 batch (over consecutive sample pairs for constraints that relate two
-samples).  Cross-entropy gradients are computed in closed form; the
-constraint term is differentiated per sample on the scalar tape over the
-10-or-so probability outputs and chained through the softmax Jacobian,
-which keeps the tape tiny regardless of model size.
+samples).  Cross-entropy gradients are computed in closed form.  The
+constraint term is differentiated on the tape once per batch: each of the
+10-or-so probability outputs is one leaf whose value is an array over the
+batch axis, so the tape's size does not grow with the batch or the model,
+and its probability-space gradient is chained through the softmax Jacobian
+in one array expression.
 
-``forward_nodes`` runs one sample end to end on the tape instead.  It is
-far too slow to train with and exists so tests can triangulate the
+``forward_nodes`` runs one sample end to end on a scalar tape instead.  It
+is far too slow to train with and exists so tests can triangulate the
 vectorized backprop against a second, independent derivative path.
 """
 
@@ -146,41 +148,38 @@ def tape_loss(m, x, y, lam=0.0, backend=None, constraint=None):
 def _logic_grads(fn, paired, probs, X, lam):
     """Mean constraint loss and its logit-space gradient over a batch.
 
-    Tape gradients live in probability space; the chain through softmax is
-    dz = p * (g - g.p) per sample.
+    One tape pass covers the whole batch: each output column is one leaf
+    whose value holds every sample's probability, and a paired constraint
+    reads the even rows as the first sample and the odd rows as the second
+    (an odd tail stays unused).  Tape gradients live in probability space;
+    the chain through softmax is dz = p * (g - g.p) for every row at once.
     """
-    n = len(probs)
     d_logits = np.zeros_like(probs)
-    total = 0.0
     if paired:
-        units = [(i, i + 1) for i in range(0, n - 1, 2)]  # odd tail unused
-        if not units:
+        k = len(probs) // 2
+        if k == 0:
             return 0.0, d_logits
+        rows = (slice(0, 2 * k, 2), slice(1, 2 * k, 2))
     else:
-        units = [(i,) for i in range(n)]
-    for unit in units:
-        nodes = [[var(float(p)) for p in probs[i]] for i in unit]
-        if paired:
-            i, j = unit
-            env = Env(
-                outputs=nodes[0],
-                outputs2=nodes[1],
-                inputs=X[i],
-                inputs2=X[j],
-            )
-        else:
-            env = Env(outputs=nodes[0], inputs=X[unit[0]])
-        lv = fn(env)
-        if isinstance(lv, Node):
-            total += lv.value
-            g = grad(lv, [nd for row in nodes for nd in row])
-            for row, i in zip(nodes, unit):
-                gp = np.array([g[nd] for nd in row])
-                p = probs[i]
-                d_logits[i] += p * (gp - gp @ p)
-        else:
-            total += lv
-    k = len(units)
+        k = len(probs)
+        rows = (slice(None),)
+    leaves = [[var(col) for col in np.ascontiguousarray(probs[r].T)] for r in rows]
+    inputs = [list(np.ascontiguousarray(X[r].T)) for r in rows]
+    if paired:
+        env = Env(outputs=leaves[0], outputs2=leaves[1], inputs=inputs[0], inputs2=inputs[1])
+    else:
+        env = Env(outputs=leaves[0], inputs=inputs[0])
+    lv = fn(env)
+    losses = lv.value if isinstance(lv, Node) else lv
+    total = float(np.sum(np.broadcast_to(losses, (k,))))
+    if isinstance(lv, Node):
+        g = grad(lv, [nd for row in leaves for nd in row])
+        for r, row in zip(rows, leaves):
+            gp = np.empty((k, len(row)))
+            for j, nd in enumerate(row):
+                gp[:, j] = g[nd]
+            p = probs[r]
+            d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
     return total / k, (lam / k) * d_logits
 
 

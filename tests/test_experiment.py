@@ -53,6 +53,49 @@ def test_config_validation():
         ExperimentConfig(lam=-0.1)
 
 
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("batch_size", 0),
+        ("batch_size", -1),
+        ("n_train", 0),
+        ("n_test", 0),
+        ("n_classes", 0),
+        ("dims", 0),
+    ],
+)
+def test_config_rejects_sizes_below_one(key, bad):
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        ExperimentConfig(**{key: bad})
+
+
+@pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)])
+def test_config_rejects_hidden_widths_below_one(hidden):
+    with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+        ExperimentConfig(hidden=hidden)
+
+
+def test_run_keeps_the_error_type_and_adds_the_run_context(monkeypatch):
+    import logicloss.experiment as experiment
+    from logicloss.formula import ParseError
+
+    raised = ParseError("bad", 3)
+
+    def failing_step(*args):
+        raise raised
+
+    monkeypatch.setattr(experiment, "train_step", failing_step)
+    with pytest.raises(ParseError) as info:
+        run(TINY)
+    assert info.value is raised
+    assert info.value.args == ("bad (at position 3)",) and info.value.pos == 3
+    assert info.value.__notes__ == ["backend=rc lambda=0.0 epoch=1"]
+    assert info.traceback[-1].name == "failing_step"
+    assert experiment.error_message(info.value) == (
+        "backend=rc lambda=0.0 epoch=1: bad (at position 3)"
+    )
+
+
 def test_epoch_report_bounds():
     with pytest.raises(ValueError, match="percentages"):
         EpochReport(1, 0.5, 0.1, 101.0, 50.0)
