@@ -101,12 +101,16 @@ def csim_formula(triples, n_classes: int):
     return f
 
 
+def check_group_eps(eps):
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
+
+
 def group_formula(groups, eps: float = 0.05):
     """Each group's probability mass must be <= eps or >= 1 - eps."""
     if not groups:
         raise ValueError("no class groups given")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
+    check_group_eps(eps)
     _check_disjoint(groups)
     body = Or(
         Cmp("<=", GroupSum("g"), Const(eps)),

@@ -66,6 +66,11 @@ def _pair_split(rng, n, n_classes, dims, split):
     return Dataset(features, labels, n_classes, split=split)
 
 
+def check_noise_frac(noise_frac):
+    if not 0.0 <= noise_frac < 1.0:
+        raise ValueError(f"noise_frac must be in [0, 1), got {noise_frac}")
+
+
 def gen_synthetic(seed, n_train, n_test, n_classes, dims, noise_frac):
     """Generate (train, test) paired-site datasets; deterministic per seed.
 
@@ -77,8 +82,7 @@ def gen_synthetic(seed, n_train, n_test, n_classes, dims, noise_frac):
     """
     if n_classes < 3:
         raise ValueError("need at least 3 classes")
-    if not 0.0 <= noise_frac < 1.0:
-        raise ValueError(f"noise_frac must be in [0, 1), got {noise_frac}")
+    check_noise_frac(noise_frac)
     n_sites = (n_classes + 1) // 2
     if n_train < 1 or n_test < 1 or dims < 2 + n_sites:
         raise ValueError(

@@ -21,15 +21,22 @@ import numpy as np
 
 from logicloss.constraints import (
     builtin_tables,
+    check_group_eps,
     csim_formula,
     group_formula,
     lipschitz_formula,
     synthetic_tables,
 )
-from logicloss.data import gen_synthetic, load_idx
+from logicloss.data import Dataset, check_noise_frac, gen_synthetic, load_idx
 from logicloss.formula import Env, crisp_fn, push_negations, uses_paired_samples
 from logicloss.logics import closed01, make_backend, s_prob_sum, t_product
-from logicloss.network import Optimizer, forward_batch, init_model, train_step
+from logicloss.network import (
+    Optimizer,
+    compile_constraint,
+    forward_batch,
+    init_model,
+    train_step,
+)
 
 LAMBDA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 
@@ -70,6 +77,25 @@ class ExperimentConfig:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
         if self.lam < 0.0:
             raise ValueError("lambda must be non-negative")
+        # The checks each value meets later in a run, made here so that a bad
+        # value fails before any data is loaded, under its own key.
+        for key, check in (
+            ("backend", lambda: make_backend(self.backend)),
+            ("xi", lambda: make_backend("dl2", xi=self.xi)),
+            ("yager_p", lambda: make_backend("yg", yager_p=self.yager_p)),
+            ("sigmoidal_s", lambda: make_backend("rc-s", sigmoidal_s=self.sigmoidal_s)),
+            ("constraint", lambda: _check_constraint(self.constraint)),
+            ("tables", lambda: self.tables == "auto" or builtin_tables(self.tables)),
+            ("lr", lambda: Optimizer(lr=self.lr)),
+            ("momentum", lambda: Optimizer(lr=1.0, momentum=self.momentum)),
+            ("noise_frac", lambda: check_noise_frac(self.noise_frac)),
+            ("eps_group", lambda: check_group_eps(self.eps_group)),
+            ("lipschitz_l", lambda: lipschitz_formula(self.lipschitz_l)),
+        ):
+            try:
+                check()
+            except ValueError as exc:
+                raise ValueError(f"{key}={getattr(self, key)!r}: {exc}") from exc
 
 
 @dataclass
@@ -125,16 +151,18 @@ def _resolve_tables(cfg):
     return builtin_tables(name)
 
 
+def _check_constraint(name):
+    if name not in CONSTRAINT_NAMES:
+        raise ValueError(f"unknown constraint {name!r}; valid: {', '.join(CONSTRAINT_NAMES)}")
+
+
 def build_constraint(cfg, tables):
+    _check_constraint(cfg.constraint)
     if cfg.constraint == "csim":
         return csim_formula(tables.triples, tables.n_classes)
     if cfg.constraint == "group":
         return group_formula(tables.groups, eps=cfg.eps_group)
-    if cfg.constraint == "lipschitz":
-        return lipschitz_formula(cfg.lipschitz_l)
-    raise ValueError(
-        f"unknown constraint {cfg.constraint!r}; valid: {', '.join(CONSTRAINT_NAMES)}"
-    )
+    return lipschitz_formula(cfg.lipschitz_l)
 
 
 def _training_backend(cfg):
@@ -168,8 +196,6 @@ def _split_idx_dataset(spec, seed):
         test_idx.append(idx[cut:])
     tr = np.sort(np.concatenate(train_idx))
     te = np.sort(np.concatenate(test_idx))
-    from logicloss.data import Dataset
-
     return (
         Dataset(full.features[tr], full.labels[tr], full.n_classes, split="train"),
         Dataset(full.features[te], full.labels[te], full.n_classes, split="test"),
@@ -193,29 +219,31 @@ def prediction_accuracy(m, d):
 
 def constraint_accuracy(m, d, f):
     """Percentage of test samples (pairs, for two-sample constraints)
-    whose crisp evaluation holds on the model's outputs."""
+    whose crisp evaluation holds on the model's outputs.
+
+    One call of the crisp evaluator covers the whole set: each output and
+    input column is an array over the samples, and a paired constraint reads
+    the even rows as the first sample and the odd rows as the second (an odd
+    tail stays unused).
+    """
     fn = crisp_fn(f)
     probs = forward_batch(m, d.features)
     if uses_paired_samples(f):
-        n = (len(d) // 2) * 2
-        if n == 0:
+        k = len(d) // 2
+        if k == 0:
             raise ValueError("need at least two samples for a paired constraint")
-        hits = sum(
-            fn(
-                Env(
-                    outputs=probs[i],
-                    outputs2=probs[i + 1],
-                    inputs=d.features[i],
-                    inputs2=d.features[i + 1],
-                )
-            )
-            for i in range(0, n, 2)
+        first, second = slice(0, 2 * k, 2), slice(1, 2 * k, 2)
+        env = Env(
+            outputs=list(probs[first].T),
+            outputs2=list(probs[second].T),
+            inputs=list(d.features[first].T),
+            inputs2=list(d.features[second].T),
         )
-        return 100.0 * hits / (n // 2)
-    hits = sum(
-        fn(Env(outputs=probs[i], inputs=d.features[i])) for i in range(len(d))
-    )
-    return 100.0 * hits / len(d)
+    else:
+        k = len(d)
+        env = Env(outputs=list(probs.T), inputs=list(d.features.T))
+    hits = int(np.count_nonzero(np.broadcast_to(fn(env), (k,))))
+    return 100.0 * hits / k
 
 
 def run(cfg):
@@ -227,12 +255,13 @@ def run(cfg):
     constraint = build_constraint(cfg, tables)
 
     backend = None
-    train_formula = None
+    train_term = None
     if cfg.lam > 0.0:
         backend = _training_backend(cfg)
         train_formula = constraint
         if backend.impl is None:
             train_formula = push_negations(train_formula, rewrite_implication=True)
+        train_term = compile_constraint(train_formula, backend)
 
     dims = train.features.shape[1]
     model = init_model([dims, *cfg.hidden, train.n_classes], cfg.seed)
@@ -250,7 +279,7 @@ def run(cfg):
             batch = (train.features[sl], train.labels[sl])
             try:
                 ce, logic = train_step(
-                    model, batch, cfg.lam, backend, train_formula, opt
+                    model, batch, cfg.lam, backend, train_term, opt
                 )
             except Exception as exc:
                 _add_note(exc, f"backend={cfg.backend} lambda={cfg.lam} epoch={epoch}")

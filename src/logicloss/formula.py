@@ -31,6 +31,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 CMP_OPS = ("<=", "<", ">=", ">", "==", "!=")
 VECTOR_REFS = ("out", "out'", "in", "in'")
 
@@ -175,7 +177,11 @@ class UnboundReference(LookupError):
 
 @dataclass
 class Env:
-    """Value bindings for one sample (or one sample pair)."""
+    """Value bindings for one sample (or one sample pair).
+
+    For a batch, each entry of a vector is an array over the batch axis
+    (one column of the batch's outputs or inputs) instead of a number.
+    """
 
     outputs: Sequence = ()
     inputs: Sequence = ()
@@ -197,6 +203,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
         self.message = message
         self.pos = pos
+
+    def __reduce__(self):
+        # args holds only the formatted text, which __init__ cannot take back
+        return type(self), (self.message, self.pos), self.__dict__
 
 
 class UnknownIdentifier(ParseError):
@@ -738,36 +748,63 @@ def _crisp_expr(e: Expr) -> Callable[[Env], float]:
                 raise UnboundReference(f"norm2({lref} - {rref}): a vector is not bound")
             if len(a) != len(b):
                 raise UnboundReference(f"norm2({lref} - {rref}): vector lengths differ")
-            return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+            total = 0.0
+            for x, y in zip(a, b):
+                d = x - y
+                total += d * d
+            return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
         return run
     raise TypeError(f"not an expression: {e!r}")
 
 
 def crisp_fn(f: Formula) -> Callable[[Env], bool]:
-    """Compile a formula to a classical (two-valued) evaluator."""
+    """Compile a formula to a classical (two-valued) evaluator.
+
+    The evaluator takes the bindings of one sample (floats) and returns a
+    bool, or the bindings of a whole batch (each vector entry an array over
+    the batch axis) and returns a boolean array with one entry per sample.
+    The connectives short-circuit on a scalar and apply elementwise
+    (&, |, ~) once a value is an array.
+    """
     if isinstance(f, Cmp):
         fl, fr = _crisp_expr(f.left), _crisp_expr(f.right)
         op = _CMP_FN[f.op]
         return lambda env: op(fl(env), fr(env))
     if isinstance(f, And):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        return lambda env: fl(env) and fr(env)
+        def run(env):
+            a = fl(env)
+            return a & fr(env) if isinstance(a, np.ndarray) else a and fr(env)
+        return run
     if isinstance(f, Or):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        return lambda env: fl(env) or fr(env)
+        def run(env):
+            a = fl(env)
+            return a | fr(env) if isinstance(a, np.ndarray) else a or fr(env)
+        return run
     if isinstance(f, Implies):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        return lambda env: (not fl(env)) or fr(env)
+        def run(env):
+            a = fl(env)
+            return ~a | fr(env) if isinstance(a, np.ndarray) else (not a) or fr(env)
+        return run
     if isinstance(f, Not):
         fb = crisp_fn(f.body)
-        return lambda env: not fb(env)
+        def run(env):
+            b = fb(env)
+            return ~b if isinstance(b, np.ndarray) else not b
+        return run
     if isinstance(f, BigAnd):
         fns = tuple(crisp_fn(g) for g in bigand_instances(f))
         def run(env):
+            acc = True
             for fn in fns:
-                if not fn(env):
+                v = fn(env)
+                if isinstance(v, np.ndarray) or isinstance(acc, np.ndarray):
+                    acc = acc & v
+                elif not v:
                     return False
-            return True
+            return acc
         return run
     raise TypeError(f"not a formula: {f!r}")
 

@@ -60,6 +60,7 @@ from .formula import (
     Sub,
     Sum,
     UnboundReference,
+    _pick,
     bigand_instances,
 )
 
@@ -446,14 +447,9 @@ def make_backend(
 # Formula -> loss compiler
 #
 # Mirrors the structure of formula.crisp_fn but produces autodiff values.
-# The crisp evaluator stays a separate float-only code path on purpose: it is
-# the oracle the loss semantics are tested against.
-
-
-def _pick(seq, i: int, what: str):
-    if i < len(seq):
-        return seq[i]
-    raise UnboundReference(f"{what}[{i}] is not bound by the environment")
+# The crisp evaluator keeps its own connectives and comparisons on purpose:
+# it is the oracle the loss semantics are tested against.  Both take one
+# sample's floats or a batch's column arrays.
 
 
 def _value_fn(e) -> Callable[[Env], object]:

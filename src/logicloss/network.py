@@ -17,6 +17,7 @@ vectorized backprop against a second, independent derivative path.
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -183,8 +184,25 @@ def _logic_grads(fn, paired, probs, X, lam):
     return total / k, (lam / k) * d_logits
 
 
+@dataclass(frozen=True)
+class CompiledConstraint:
+    """A constraint's loss under one backend, compiled once for many batches."""
+
+    fn: Callable
+    paired: bool
+
+
+def compile_constraint(constraint, backend):
+    return CompiledConstraint(loss_function(constraint, backend), uses_paired_samples(constraint))
+
+
 def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
-    """Mean losses and parameter gradients of ce + lam*logic on a batch."""
+    """Mean losses and parameter gradients of ce + lam*logic on a batch.
+
+    `constraint` is a formula, compiled under `backend` on this call, or a
+    `CompiledConstraint`, which a training run builds once and reuses for
+    every batch (`backend` is then not read).
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n = X.shape[0]
@@ -199,8 +217,9 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
     logic = 0.0
     if lam > 0.0 and constraint is not None:
-        fn = loss_function(constraint, backend)
-        logic, d_extra = _logic_grads(fn, uses_paired_samples(constraint), probs, X, lam)
+        if not isinstance(constraint, CompiledConstraint):
+            constraint = compile_constraint(constraint, backend)
+        logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
         d_logits = d_logits + d_extra
 
     if not np.isfinite(ce) or not np.isfinite(logic):

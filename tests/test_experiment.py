@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,68 @@ def test_config_rejects_sizes_below_one(key, bad):
 def test_config_rejects_hidden_widths_below_one(hidden):
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
         ExperimentConfig(hidden=hidden)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("backend", "nope"),
+        ("constraint", "nope"),
+        ("tables", "nope"),
+        ("lr", -1.0),
+        ("momentum", 1.5),
+        ("noise_frac", 2.0),
+        ("xi", -1.0),
+        ("yager_p", 0.5),
+        ("sigmoidal_s", 0.0),
+        ("eps_group", 0.7),
+        ("lipschitz_l", -1.0),
+    ],
+)
+def test_config_rejects_bad_values_before_any_data_loads(monkeypatch, key, bad):
+    import logicloss.experiment as experiment
+
+    def no_data(*args):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr(experiment, "gen_synthetic", no_data)
+    with pytest.raises(ValueError, match=f"^{key}="):
+        run(ExperimentConfig(lam=0.0, **{key: bad}))
+
+
+def test_run_calls_the_crisp_evaluator_once_per_epoch_and_compiles_once(monkeypatch):
+    """Neither per-sample evaluation nor per-batch compiling may creep back."""
+    import dataclasses
+
+    import logicloss.experiment as experiment
+    import logicloss.network as network
+
+    crisp_calls, compiles = [], []
+    real_crisp_fn, real_loss_function = experiment.crisp_fn, network.loss_function
+
+    def counting_crisp_fn(f):
+        fn = real_crisp_fn(f)
+
+        def counted(env):
+            crisp_calls.append(1)
+            return fn(env)
+
+        return counted
+
+    def counting_loss_function(f, backend):
+        compiles.append(1)
+        return real_loss_function(f, backend)
+
+    monkeypatch.setattr(experiment, "crisp_fn", counting_crisp_fn)
+    monkeypatch.setattr(network, "loss_function", counting_loss_function)
+    for name in CONSTRAINT_NAMES:
+        crisp_calls.clear()
+        compiles.clear()
+        cfg = dataclasses.replace(TINY, constraint=name, lam=0.5)
+        assert cfg.n_train > 2 * cfg.batch_size  # several batches per epoch
+        run(cfg)
+        assert len(crisp_calls) == cfg.epochs, name
+        assert len(compiles) == 1, name
 
 
 def test_run_keeps_the_error_type_and_adds_the_run_context(monkeypatch):
@@ -312,6 +376,31 @@ def test_lambda_sweep_parallel_matches_serial():
     serial = lambda_sweep(cfg, grid=[0.0, 0.4], jobs=1)
     parallel = lambda_sweep(cfg, grid=[0.0, 0.4], jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the pool's workers must inherit the patched training step",
+)
+def test_lambda_sweep_worker_parse_error_reaches_the_parent(monkeypatch):
+    import dataclasses
+
+    import logicloss.experiment as experiment
+    from logicloss.formula import UnknownIdentifier
+
+    def failing_step(*args):
+        raise UnknownIdentifier("unknown identifier 'foo'", 7)
+
+    monkeypatch.setattr(experiment, "train_step", failing_step)
+    cfg = dataclasses.replace(TINY, epochs=1, n_train=40, n_test=20)
+    with pytest.raises(RuntimeError, match="sweep failed at lambda=0.0") as info:
+        lambda_sweep(cfg, grid=[0.0, 0.4], jobs=2)
+    cause = info.value.__cause__
+    assert type(cause) is UnknownIdentifier and (cause.message, cause.pos) == (
+        "unknown identifier 'foo'",
+        7,
+    )
+    assert cause.__notes__ == ["backend=rc lambda=0.0 epoch=1"]
 
 
 def test_fmt_is_plain_decimal():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -216,6 +217,29 @@ def test_error_fractional_index():
 def test_error_group_variable_as_scalar_index():
     with pytest.raises(ParseError):
         parse("forall g in Groups: out[g] >= 0", CTX)
+
+
+@pytest.mark.parametrize("cls", [ParseError, UnknownIdentifier, IndexOutOfRange])
+def test_parse_errors_survive_pickling(cls):
+    # a parse error raised in a sweep worker reaches the parent pickled
+    err = cls("bad", 3)
+    err.__notes__ = ["backend=rc lambda=0.2 epoch=1"]
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert (back.message, back.pos, str(back), back.args) == (
+        "bad",
+        3,
+        "bad (at position 3)",
+        ("bad (at position 3)",),
+    )
+    assert back.__notes__ == err.__notes__
+
+
+def test_parse_error_from_the_parser_survives_pickling():
+    with pytest.raises(IndexOutOfRange) as e:
+        parse("out[9] >= 0.1", CTX)
+    back = pickle.loads(pickle.dumps(e.value))
+    assert type(back) is IndexOutOfRange and (back.message, back.pos) == (e.value.message, 4)
 
 
 def test_error_scalar_variable_as_group():
