@@ -85,21 +85,18 @@ class Node:
     `adjoint` is scratch space for grad().
     """
 
-    __slots__ = ("value", "parents", "partials", "name", "adjoint")
+    __slots__ = ("value", "parents", "partials", "adjoint")
 
     # numpy must hand `ndarray <op> Node` to the reflected method below
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), partials=(), name=None):
+    def __init__(self, value, parents=(), partials=()):
         self.value = value
         self.parents = parents
         self.partials = partials
-        self.name = name
         self.adjoint = 0.0
 
     def __repr__(self):
-        if self.name is not None:
-            return f"Node({self.value!r}, name={self.name!r})"
         return f"Node({self.value!r})"
 
     # -- arithmetic ---------------------------------------------------
@@ -149,12 +146,12 @@ class Node:
         return vpow(other, self)
 
 
-def var(value, name: str | None = None) -> Node:
+def var(value) -> Node:
     """A leaf node to differentiate with respect to: a float, or an array
     with one entry per sample."""
     if isinstance(value, np.ndarray):
-        return Node(np.asarray(value, dtype=float), name=name)
-    return Node(float(value), name=name)
+        return Node(np.asarray(value, dtype=float))
+    return Node(float(value))
 
 
 def val(x):
@@ -413,12 +410,6 @@ def grad(root, wrt: Sequence[Node]) -> dict[Node, object]:
                     p.adjoint += a * d
 
     return {n: (n.adjoint if n in visited else 0.0) for n in wanted}
-
-
-def grad_by_name(root, wrt: Sequence[Node]) -> dict[str, object]:
-    """Like grad(), but keyed by the variables' names."""
-    g = grad(root, wrt)
-    return {n.name: p for n, p in g.items() if n.name is not None}
 
 
 def finite_diff(f: Callable[[Sequence[float]], float], point: Sequence[float], h: float = 1e-5) -> list[float]:

@@ -8,7 +8,6 @@ import argparse
 import dataclasses
 import sys
 
-from logicloss.autodiff import Node
 from logicloss.constraints import builtin_tables, make_parse_context, synthetic_tables
 from logicloss.experiment import (
     LAMBDA_GRID,
@@ -21,8 +20,8 @@ from logicloss.experiment import (
     select_result,
     write_report,
 )
-from logicloss.formula import Env, ParseError, eval_crisp, parse, push_negations
-from logicloss.logics import BACKEND_NAMES, compile_formula, make_backend
+from logicloss.formula import Env, ParseContext, ParseError, eval_crisp, parse, push_negations
+from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
 from logicloss.network import TrainingDiverged
 
 
@@ -129,8 +128,6 @@ def _eval_command(args):
     if n >= 3:
         ctx = make_parse_context(synthetic_tables(n), consts={"eps": args.eps})
     else:
-        from logicloss.formula import ParseContext
-
         ctx = ParseContext(n_classes=n, consts={"eps": args.eps})
     f = parse(args.formula, ctx)
     backend = make_backend(
@@ -149,8 +146,7 @@ def _eval_command(args):
     compiled = f
     if backend.impl is None:
         compiled = push_negations(f, rewrite_implication=True)
-    lv = compile_formula(compiled, backend, env)
-    loss = lv.node.value if isinstance(lv.node, Node) else float(lv.node)
+    loss = float(loss_function(compiled, backend)(env))
     print(f"crisp: {'true' if eval_crisp(f, env) else 'false'}")
     if backend.impl is not None:
         print(f"truth: {1.0 - loss:.6g}")

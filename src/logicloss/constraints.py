@@ -121,7 +121,7 @@ def group_formula(groups, eps: float = 0.05):
 
 def lipschitz_formula(l: float):
     """Output distance of a sample pair bounded by l times the input distance."""
-    if l <= 0.0:
+    if not l > 0.0:
         raise ValueError("the Lipschitz bound must be positive")
     return Cmp(
         "<=",

@@ -28,7 +28,7 @@ from logicloss.constraints import (
     synthetic_tables,
 )
 from logicloss.data import Dataset, check_noise_frac, gen_synthetic, load_idx
-from logicloss.formula import Env, crisp_fn, push_negations, uses_paired_samples
+from logicloss.formula import batch_env, crisp_fn, push_negations, sample_rows, uses_paired_samples
 from logicloss.logics import closed01, make_backend, s_prob_sum, t_product
 from logicloss.network import (
     Optimizer,
@@ -75,8 +75,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam={self.lam!r}: lambda must be non-negative")
         # The checks each value meets later in a run, made here so that a bad
         # value fails before any data is loaded, under its own key.
         for key, check in (
@@ -133,10 +133,13 @@ def load_config(path):
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                     + ", ".join(sorted(fields))
                 )
-            if key == "hidden":
-                values[key] = tuple(int(v) for v in raw.split(","))
-            else:
-                values[key] = type(getattr(ExperimentConfig(), key))(raw)
+            try:
+                if key == "hidden":
+                    values[key] = tuple(int(v) for v in raw.split(","))
+                else:
+                    values[key] = fields[key].type(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**values)
 
 
@@ -222,26 +225,15 @@ def constraint_accuracy(m, d, f):
     whose crisp evaluation holds on the model's outputs.
 
     One call of the crisp evaluator covers the whole set: each output and
-    input column is an array over the samples, and a paired constraint reads
-    the even rows as the first sample and the odd rows as the second (an odd
-    tail stays unused).
+    input column is an array over the samples, and the rows pair up as
+    `formula.sample_rows` says.
     """
     fn = crisp_fn(f)
     probs = forward_batch(m, d.features)
-    if uses_paired_samples(f):
-        k = len(d) // 2
-        if k == 0:
-            raise ValueError("need at least two samples for a paired constraint")
-        first, second = slice(0, 2 * k, 2), slice(1, 2 * k, 2)
-        env = Env(
-            outputs=list(probs[first].T),
-            outputs2=list(probs[second].T),
-            inputs=list(d.features[first].T),
-            inputs2=list(d.features[second].T),
-        )
-    else:
-        k = len(d)
-        env = Env(outputs=list(probs.T), inputs=list(d.features.T))
+    k, rows = sample_rows(len(d), uses_paired_samples(f))
+    if k == 0:
+        raise ValueError("need at least two samples for a paired constraint")
+    env = batch_env([list(probs[r].T) for r in rows], [list(d.features[r].T) for r in rows])
     hits = int(np.count_nonzero(np.broadcast_to(fn(env), (k,))))
     return 100.0 * hits / k
 
@@ -265,8 +257,8 @@ def run(cfg):
 
     dims = train.features.shape[1]
     model = init_model([dims, *cfg.hidden, train.n_classes], cfg.seed)
-    opt = Optimizer(lr=cfg.lr, momentum=cfg.momentum, seed=cfg.seed)
-    shuffle = np.random.default_rng(opt.seed)
+    opt = Optimizer(lr=cfg.lr, momentum=cfg.momentum)
+    shuffle = np.random.default_rng(cfg.seed)
 
     n = len(train)
     reports = []

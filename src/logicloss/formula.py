@@ -25,13 +25,14 @@ parsed formula is self-contained afterwards.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
+
+from .autodiff import vsqrt
 
 CMP_OPS = ("<=", "<", ">=", ">", "==", "!=")
 VECTOR_REFS = ("out", "out'", "in", "in'")
@@ -196,6 +197,27 @@ class Env:
         if ref == "in":
             return self.inputs
         return self.inputs2
+
+
+def sample_rows(n: int, paired: bool) -> tuple[int, tuple]:
+    """How a batch of n rows is scored: (k units, row selections).
+
+    A one-sample formula scores every row.  A paired formula reads the even
+    rows as the first sample and the odd rows as the second, so k = n // 2
+    and an odd tail row stays unused.
+    """
+    if not paired:
+        return n, (slice(None),)
+    k = n // 2
+    return k, (slice(0, 2 * k, 2), slice(1, 2 * k, 2))
+
+
+def batch_env(outputs: Sequence, inputs: Sequence) -> Env:
+    """The bindings of a batch, given the output and the input columns of
+    each row selection from `sample_rows`, in the same order."""
+    if len(outputs) == 1:
+        return Env(outputs=outputs[0], inputs=inputs[0])
+    return Env(outputs=outputs[0], outputs2=outputs[1], inputs=inputs[0], inputs2=inputs[1])
 
 
 class ParseError(ValueError):
@@ -706,7 +728,13 @@ def _pick(seq: Sequence, i: int, what: str):
     raise UnboundReference(f"{what}[{i}] is not bound by the environment")
 
 
-def _crisp_expr(e: Expr) -> Callable[[Env], float]:
+def expr_fn(e: Expr) -> Callable[[Env], object]:
+    """Compile an arithmetic expression to a function of the bindings.
+
+    The one evaluator of "+ - *", sum and norm2: the crisp evaluator and
+    every loss semantics call it.  It returns whatever the bindings hold
+    arithmetic over: floats, arrays over a batch axis, or tape nodes.
+    """
     if isinstance(e, Const):
         c = e.value
         return lambda env: c
@@ -721,20 +749,20 @@ def _crisp_expr(e: Expr) -> Callable[[Env], float]:
             raise UnboundReference(f"in[{i}]: quantifier variable was never bound")
         return lambda env: _pick(env.inputs, i, "in")
     if isinstance(e, Add):
-        fl, fr = _crisp_expr(e.left), _crisp_expr(e.right)
+        fl, fr = expr_fn(e.left), expr_fn(e.right)
         return lambda env: fl(env) + fr(env)
     if isinstance(e, Sub):
-        fl, fr = _crisp_expr(e.left), _crisp_expr(e.right)
+        fl, fr = expr_fn(e.left), expr_fn(e.right)
         return lambda env: fl(env) - fr(env)
     if isinstance(e, Mul):
-        fl, fr = _crisp_expr(e.left), _crisp_expr(e.right)
+        fl, fr = expr_fn(e.left), expr_fn(e.right)
         return lambda env: fl(env) * fr(env)
     if isinstance(e, Sum):
-        fns = [_crisp_expr(x) for x in e.items]
-        def run(env, fns=tuple(fns)):
+        fns = tuple(expr_fn(x) for x in e.items)
+        def run(env):
             total = 0.0
             for fn in fns:
-                total += fn(env)
+                total = total + fn(env)
             return total
         return run
     if isinstance(e, GroupSum):
@@ -751,8 +779,8 @@ def _crisp_expr(e: Expr) -> Callable[[Env], float]:
             total = 0.0
             for x, y in zip(a, b):
                 d = x - y
-                total += d * d
-            return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
+                total = total + d * d
+            return vsqrt(total)
         return run
     raise TypeError(f"not an expression: {e!r}")
 
@@ -767,7 +795,7 @@ def crisp_fn(f: Formula) -> Callable[[Env], bool]:
     (&, |, ~) once a value is an array.
     """
     if isinstance(f, Cmp):
-        fl, fr = _crisp_expr(f.left), _crisp_expr(f.right)
+        fl, fr = expr_fn(f.left), expr_fn(f.right)
         op = _CMP_FN[f.op]
         return lambda env: op(fl(env), fr(env))
     if isinstance(f, And):

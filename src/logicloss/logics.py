@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,27 +43,7 @@ from .autodiff import (
     vsigmoid,
     vsqrt,
 )
-from .formula import (
-    Add,
-    And,
-    BigAnd,
-    Cmp,
-    Const,
-    Env,
-    GroupSum,
-    Implies,
-    Input,
-    Mul,
-    Norm2Diff,
-    Not,
-    Or,
-    Output,
-    Sub,
-    Sum,
-    UnboundReference,
-    _pick,
-    bigand_instances,
-)
+from .formula import And, BigAnd, Cmp, Env, Implies, Not, Or, bigand_instances, expr_fn
 
 
 class CompileError(ValueError):
@@ -218,46 +199,6 @@ def power_scaled(impl: Callable) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Family dispatchers
-
-_TNORMS = {"G": t_godel, "LK": t_lukasiewicz, "P": t_product}
-_SNORMS = {"G": s_godel, "LK": s_lukasiewicz, "PS": s_prob_sum}
-_IMPLICATIONS = {
-    "G": i_godel,
-    "KD": i_kleene_dienes,
-    "LK": i_lukasiewicz,
-    "YG": i_yager,
-    "GG": i_goguen,
-    "RC": i_reichenbach,
-}
-
-
-def tnorm(family: str, x, y, p: float = 2.0):
-    if family == "YG":
-        return t_yager(x, y, p)
-    try:
-        return _TNORMS[family](x, y)
-    except KeyError:
-        raise ValueError(f"unknown t-norm family {family!r}") from None
-
-
-def snorm(family: str, x, y, p: float = 2.0):
-    if family == "YG":
-        return s_yager(x, y, p)
-    try:
-        return _SNORMS[family](x, y)
-    except KeyError:
-        raise ValueError(f"unknown s-norm family {family!r}") from None
-
-
-def implication(kind: str, x, y):
-    try:
-        return _IMPLICATIONS[kind](x, y)
-    except KeyError:
-        raise ValueError(f"unknown implication {kind!r}") from None
-
-
-# ---------------------------------------------------------------------------
 # Comparisons
 
 
@@ -342,13 +283,6 @@ class LogicBackend:
     neg: Optional[Callable]  # None: push negations to comparisons first
     compare: Callable  # (op, x, y) -> truth or violation
     polarity: str
-    transform: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class LossValue:
-    node: object  # Node or float
-    polarity: str
 
 
 def closed01(fn: Callable) -> Callable:
@@ -360,22 +294,23 @@ def closed01(fn: Callable) -> Callable:
     return wrapped
 
 
-# name -> (t-norm, s-norm, implication); yager entries take p, rc-s takes s
+# name -> (t-norm, s-norm, implication); make_backend binds the Yager
+# operators' p and reshapes the rc-s and rc-phi implications
 _FUZZY_TABLE = {
-    "godel": ("G", "G", "G"),
-    "kd": ("G", "G", "KD"),
-    "lk": ("LK", "LK", "LK"),
-    "gg": ("P", "PS", "GG"),
-    "rc": ("P", "PS", "RC"),
-    "rc-s": ("P", "PS", "RC"),
-    "rc-phi": ("P", "PS", "RC"),
-    "yg": ("YG", "YG", "YG"),
+    "godel": (t_godel, s_godel, i_godel),
+    "kd": (t_godel, s_godel, i_kleene_dienes),
+    "lk": (t_lukasiewicz, s_lukasiewicz, i_lukasiewicz),
+    "gg": (t_product, s_prob_sum, i_goguen),
+    "rc": (t_product, s_prob_sum, i_reichenbach),
+    "rc-s": (t_product, s_prob_sum, i_reichenbach),
+    "rc-phi": (t_product, s_prob_sum, i_reichenbach),
+    "yg": (t_yager, s_yager, i_yager),
     # conjunction-study variants: the implication's own t-norm pairs with
     # the probabilistic sum for disjunction
-    "tg": ("G", "PS", "G"),
-    "tlk": ("LK", "PS", "LK"),
-    "trc": ("P", "PS", "RC"),
-    "tyg": ("YG", "PS", "YG"),
+    "tg": (t_godel, s_prob_sum, i_godel),
+    "tlk": (t_lukasiewicz, s_prob_sum, i_lukasiewicz),
+    "trc": (t_product, s_prob_sum, i_reichenbach),
+    "tyg": (t_yager, s_prob_sum, i_yager),
 }
 
 BACKEND_NAMES = ("dl2",) + tuple(_FUZZY_TABLE)
@@ -390,7 +325,7 @@ def make_backend(
     sigmoidal_s: float = 9.0,
 ) -> LogicBackend:
     if name == "dl2":
-        if xi <= 0.0:
+        if not xi > 0.0:
             raise ValueError("xi must be positive")
 
         def compare(op, x, y):
@@ -409,24 +344,22 @@ def make_backend(
     if name not in _FUZZY_TABLE:
         known = ", ".join(BACKEND_NAMES)
         raise ValueError(f"unknown backend {name!r}; choose one of: {known}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if yager_p < 1.0:
+    if not yager_p >= 1.0:
         raise ValueError("yager_p must be at least 1")
-    if sigmoidal_s <= 0.0:
+    if not sigmoidal_s > 0.0:
         raise ValueError("sigmoidal_s must be positive")
 
-    t_fam, s_fam, i_kind = _FUZZY_TABLE[name]
-    conj = closed01(lambda a, b: tnorm(t_fam, a, b, yager_p))
-    disj = closed01(lambda a, b: snorm(s_fam, a, b, yager_p))
-    impl_raw = _IMPLICATIONS[i_kind]
-    transform = None
+    tnorm, snorm, impl_raw = (
+        partial(fn, p=yager_p) if fn in (t_yager, s_yager) else fn for fn in _FUZZY_TABLE[name]
+    )
+    conj = closed01(tnorm)
+    disj = closed01(snorm)
     if name == "rc-s":
         impl_raw = sigmoidal(impl_raw, sigmoidal_s)
-        transform = "sigmoidal"
     elif name == "rc-phi":
         impl_raw = power_scaled(impl_raw)
-        transform = "power"
 
     def compare(op, x, y, _conj=conj, _eps=eps):
         return fuzzy_compare(op, x, y, _conj, _eps)
@@ -439,72 +372,15 @@ def make_backend(
         neg=closed01(n_standard),
         compare=closed01(compare),
         polarity=ONE_WHEN_TRUE,
-        transform=transform,
     )
 
 
 # ---------------------------------------------------------------------------
 # Formula -> loss compiler
 #
-# Mirrors the structure of formula.crisp_fn but produces autodiff values.
-# The crisp evaluator keeps its own connectives and comparisons on purpose:
-# it is the oracle the loss semantics are tested against.  Both take one
-# sample's floats or a batch's column arrays.
-
-
-def _value_fn(e) -> Callable[[Env], object]:
-    if isinstance(e, Const):
-        c = e.value
-        return lambda env: c
-    if isinstance(e, Output):
-        i = e.index
-        if isinstance(i, str):
-            raise UnboundReference(f"out[{i}]: quantifier variable was never bound")
-        return lambda env: _pick(env.outputs, i, "out")
-    if isinstance(e, Input):
-        i = e.index
-        if isinstance(i, str):
-            raise UnboundReference(f"in[{i}]: quantifier variable was never bound")
-        return lambda env: _pick(env.inputs, i, "in")
-    if isinstance(e, Add):
-        fl, fr = _value_fn(e.left), _value_fn(e.right)
-        return lambda env: fl(env) + fr(env)
-    if isinstance(e, Sub):
-        fl, fr = _value_fn(e.left), _value_fn(e.right)
-        return lambda env: fl(env) - fr(env)
-    if isinstance(e, Mul):
-        fl, fr = _value_fn(e.left), _value_fn(e.right)
-        return lambda env: fl(env) * fr(env)
-    if isinstance(e, Sum):
-        fns = tuple(_value_fn(x) for x in e.items)
-
-        def run_sum(env):
-            total = 0.0
-            for fn in fns:
-                total = total + fn(env)
-            return total
-
-        return run_sum
-    if isinstance(e, GroupSum):
-        raise UnboundReference(f"sum(out[{e.var}]): quantifier variable was never bound")
-    if isinstance(e, Norm2Diff):
-        lref, rref = e.left, e.right
-
-        def run_norm(env):
-            a = env.vector(lref)
-            b = env.vector(rref)
-            if len(a) == 0 or len(b) == 0:
-                raise UnboundReference(f"norm2({lref} - {rref}): a vector is not bound")
-            if len(a) != len(b):
-                raise UnboundReference(f"norm2({lref} - {rref}): vector lengths differ")
-            total = 0.0
-            for p, q in zip(a, b):
-                d = p - q
-                total = total + d * d
-            return vsqrt(total)
-
-        return run_norm
-    raise TypeError(f"not an expression: {e!r}")
+# Arithmetic comes from formula.expr_fn, the evaluator crisp_fn uses too;
+# connectives and comparisons are the backend's, while crisp_fn keeps its
+# own so that it stays an independent oracle for the loss semantics.
 
 
 def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
@@ -514,7 +390,7 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     violation-measure backend it is the non-negative violation itself.
     """
     if isinstance(f, Cmp):
-        fl, fr = _value_fn(f.left), _value_fn(f.right)
+        fl, fr = expr_fn(f.left), expr_fn(f.right)
         op = f.op
         cmpf = backend.compare
         return lambda env: cmpf(op, fl(env), fr(env))
@@ -569,7 +445,3 @@ def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:
         return fn
     return lambda env: 1.0 - fn(env)
 
-
-def compile_formula(f, backend: LogicBackend, env: Env) -> LossValue:
-    """One-shot translation of a formula under the given bindings."""
-    return LossValue(loss_function(f, backend)(env), backend.polarity)

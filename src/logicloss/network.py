@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from logicloss.autodiff import Node, grad, var, vexp, vln, vmax
-from logicloss.formula import Env, uses_paired_samples
+from logicloss.formula import Env, batch_env, sample_rows, uses_paired_samples
 from logicloss.logics import loss_function
 
 
@@ -150,27 +150,16 @@ def _logic_grads(fn, paired, probs, X, lam):
     """Mean constraint loss and its logit-space gradient over a batch.
 
     One tape pass covers the whole batch: each output column is one leaf
-    whose value holds every sample's probability, and a paired constraint
-    reads the even rows as the first sample and the odd rows as the second
-    (an odd tail stays unused).  Tape gradients live in probability space;
+    whose value holds every sample's probability, and the rows pair up as
+    `formula.sample_rows` says.  Tape gradients live in probability space;
     the chain through softmax is dz = p * (g - g.p) for every row at once.
     """
     d_logits = np.zeros_like(probs)
-    if paired:
-        k = len(probs) // 2
-        if k == 0:
-            return 0.0, d_logits
-        rows = (slice(0, 2 * k, 2), slice(1, 2 * k, 2))
-    else:
-        k = len(probs)
-        rows = (slice(None),)
+    k, rows = sample_rows(len(probs), paired)
+    if k == 0:
+        return 0.0, d_logits
     leaves = [[var(col) for col in np.ascontiguousarray(probs[r].T)] for r in rows]
-    inputs = [list(np.ascontiguousarray(X[r].T)) for r in rows]
-    if paired:
-        env = Env(outputs=leaves[0], outputs2=leaves[1], inputs=inputs[0], inputs2=inputs[1])
-    else:
-        env = Env(outputs=leaves[0], inputs=inputs[0])
-    lv = fn(env)
+    lv = fn(batch_env(leaves, [list(np.ascontiguousarray(X[r].T)) for r in rows]))
     losses = lv.value if isinstance(lv, Node) else lv
     total = float(np.sum(np.broadcast_to(losses, (k,))))
     if isinstance(lv, Node):
@@ -239,11 +228,10 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
 @dataclass
 class Optimizer:
-    """SGD with optional momentum; seed drives the epoch shuffle order."""
+    """SGD with optional momentum."""
 
     lr: float
     momentum: float = 0.0
-    seed: int = 0
     _vel: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -273,7 +261,7 @@ def train_step(m, batch, lam, backend, constraint, opt):
     X, y = batch
     if len(X) == 0:
         raise ValueError("empty batch")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"logical weight must be non-negative, got {lam}")
     ce, logic, gw, gb = loss_gradients(m, X, y, lam, backend, constraint)
     opt.step(m, gw, gb)

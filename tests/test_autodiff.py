@@ -9,7 +9,6 @@ from logicloss.autodiff import (
     Node,
     finite_diff,
     grad,
-    grad_by_name,
     track_branch_margins,
     val,
     var,
@@ -156,13 +155,6 @@ def test_grad_of_float_root_is_zero():
     root = vmax(x - 2.0, 0.0)  # pruned to the constant branch
     assert root == 0.0
     assert grad(root, [x])[x] == 0.0
-
-
-def test_grad_by_name():
-    x = var(2.0, name="x")
-    y = var(5.0, name="y")
-    g = grad_by_name(x * y, [x, y])
-    assert g == {"x": 5.0, "y": 2.0}
 
 
 def test_finite_diff_square():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logicloss import experiment
+from logicloss.autodiff import Node, var
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
 from logicloss.data import Dataset
 from logicloss.experiment import constraint_accuracy
@@ -25,8 +26,8 @@ from logicloss.formula import (
     Env,
     Norm2Diff,
     Output,
-    _crisp_expr,
     crisp_fn,
+    expr_fn,
     uses_paired_samples,
 )
 from logicloss.network import init_model
@@ -195,8 +196,11 @@ def test_every_boundary_row_in_one_set(constraint):
 def test_norm2_is_the_same_number_on_both_paths():
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2, 50, N_CLASSES)) * rng.uniform(1e-9, 1e3, size=(2, 50, 1))
-    norm = _crisp_expr(Norm2Diff("out", "out'"))
+    norm = expr_fn(Norm2Diff("out", "out'"))
     batched = norm(Env(outputs=list(a.T), outputs2=list(b.T)))
+    # the same evaluator on tape nodes over the arrays, as a loss sees them
+    on_tape = norm(Env(outputs=[var(c) for c in a.T], outputs2=[var(c) for c in b.T]))
+    assert isinstance(on_tape, Node) and on_tape.value.tolist() == batched.tolist()
     for i in range(len(a)):
         scalar = norm(Env(outputs=[float(v) for v in a[i]], outputs2=[float(v) for v in b[i]]))
         assert type(scalar) is float and scalar == batched[i]

@@ -1,6 +1,10 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from logicloss.cli import main
+from logicloss.cli import _build_parser, main
 from logicloss.logics import BACKEND_NAMES
 
 
@@ -240,3 +244,17 @@ def test_unknown_constraint_listed(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "csim" in err
+
+
+def test_every_flag_in_the_readme_is_a_cli_option():
+    known = set()
+    parsers = [_build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            known.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert flags, "no flags found in README.md"
+    assert flags <= known, sorted(flags - known)

@@ -91,6 +91,11 @@ def test_config_rejects_hidden_widths_below_one(hidden):
         ("sigmoidal_s", 0.0),
         ("eps_group", 0.7),
         ("lipschitz_l", -1.0),
+        ("lam", float("nan")),
+        ("xi", float("nan")),
+        ("yager_p", float("nan")),
+        ("sigmoidal_s", float("nan")),
+        ("lipschitz_l", float("nan")),
     ],
 )
 def test_config_rejects_bad_values_before_any_data_loads(monkeypatch, key, bad):
@@ -101,7 +106,7 @@ def test_config_rejects_bad_values_before_any_data_loads(monkeypatch, key, bad):
 
     monkeypatch.setattr(experiment, "gen_synthetic", no_data)
     with pytest.raises(ValueError, match=f"^{key}="):
-        run(ExperimentConfig(lam=0.0, **{key: bad}))
+        run(ExperimentConfig(**{"lam": 0.0, key: bad}))
 
 
 def test_run_calls_the_crisp_evaluator_once_per_epoch_and_compiles_once(monkeypatch):
@@ -201,6 +206,20 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
         load_config(path)
+
+
+def test_load_config_names_the_file_line_and_key_of_a_bad_value(tmp_path):
+    path = tmp_path / "bad.cfg"
+    for text, where in (
+        ("backend = rc\nepochs = 2.5\n", ":2: epochs: "),
+        ("# sizes\nlambda = 0.5\nhidden = 8,x\n", ":3: hidden: "),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value).startswith(str(path) + where)
+        assert "invalid literal for int()" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_build_constraint_shapes():

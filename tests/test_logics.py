@@ -27,8 +27,6 @@ from logicloss.logics import (
     ONE_WHEN_TRUE,
     ZERO_WHEN_TRUE,
     CompileError,
-    LossValue,
-    compile_formula,
     dl2_atom,
     dl2_connective,
     fuzzy_compare,
@@ -39,7 +37,6 @@ from logicloss.logics import (
     i_lukasiewicz,
     i_reichenbach,
     i_yager,
-    implication,
     loss_function,
     make_backend,
     n_standard,
@@ -49,12 +46,10 @@ from logicloss.logics import (
     s_prob_sum,
     s_yager,
     sigmoidal_truth,
-    snorm,
     t_godel,
     t_lukasiewicz,
     t_product,
     t_yager,
-    tnorm,
     truth_function,
 )
 
@@ -103,19 +98,6 @@ def test_snorm_values():
     for name, fn in SNORMS.items():
         for y in (0.0, 0.3, 1.0):
             assert fn(0.0, y) == pytest.approx(y, abs=1e-15), name
-
-
-def test_dispatchers():
-    assert tnorm("G", 0.2, 0.9) == 0.2
-    assert snorm("PS", 0.5, 0.5) == 0.75
-    assert tnorm("YG", 1.0, 0.25, 2.0) == pytest.approx(0.25)
-    assert implication("RC", 0.5, 0.5) == 0.75
-    with pytest.raises(ValueError):
-        tnorm("XX", 0.1, 0.2)
-    with pytest.raises(ValueError):
-        snorm("XX", 0.1, 0.2)
-    with pytest.raises(ValueError):
-        implication("XX", 0.1, 0.2)
 
 
 def _rand01(rng, n):
@@ -364,9 +346,6 @@ def test_backend_registry():
         assert b.name == name
     assert make_backend("dl2").polarity == ZERO_WHEN_TRUE
     assert make_backend("rc").polarity == ONE_WHEN_TRUE
-    assert make_backend("rc-s").transform == "sigmoidal"
-    assert make_backend("rc-phi").transform == "power"
-    assert make_backend("rc").transform is None
 
 
 def test_backend_unknown_name():
@@ -384,6 +363,15 @@ def test_backend_parameter_validation():
         make_backend("rc-s", sigmoidal_s=0.0)
     with pytest.raises(ValueError):
         make_backend("dl2", xi=0.0)
+    nan = float("nan")
+    for name, option in (
+        ("rc", "eps"),
+        ("yg", "yager_p"),
+        ("rc-s", "sigmoidal_s"),
+        ("dl2", "xi"),
+    ):
+        with pytest.raises(ValueError):
+            make_backend(name, **{option: nan})
 
 
 def test_backend_impl_tables():
@@ -397,6 +385,43 @@ def test_backend_impl_tables():
     tlk = make_backend("tlk")
     assert tlk.conj(0.7, 0.5) == pytest.approx(0.2)  # Lukasiewicz t-norm
     assert tlk.disj(0.5, 0.5) == 0.75  # probabilistic sum
+
+    # every fuzzy backend against the operators it should use, with a
+    # non-default Yager p to check that p reaches both Yager operators
+    def yager_t(x, y):
+        return t_yager(x, y, 3.0)
+
+    def yager_s(x, y):
+        return s_yager(x, y, 3.0)
+
+    def rc_sigmoidal(x, y):
+        return sigmoidal_truth(i_reichenbach(x, y), 9.0)
+
+    def rc_power(x, y):
+        return math.sqrt(i_reichenbach(x * x, y * y))
+
+    expected = {
+        "godel": (t_godel, s_godel, i_godel),
+        "kd": (t_godel, s_godel, i_kleene_dienes),
+        "lk": (t_lukasiewicz, s_lukasiewicz, i_lukasiewicz),
+        "gg": (t_product, s_prob_sum, i_goguen),
+        "rc": (t_product, s_prob_sum, i_reichenbach),
+        "rc-s": (t_product, s_prob_sum, rc_sigmoidal),
+        "rc-phi": (t_product, s_prob_sum, rc_power),
+        "yg": (yager_t, yager_s, i_yager),
+        "tg": (t_godel, s_prob_sum, i_godel),
+        "tlk": (t_lukasiewicz, s_prob_sum, i_lukasiewicz),
+        "trc": (t_product, s_prob_sum, i_reichenbach),
+        "tyg": (yager_t, s_prob_sum, i_yager),
+    }
+    assert sorted(expected) == sorted(BACKEND_NAMES[1:])
+    grid = (0.0, 0.25, 0.5, 0.8, 1.0)
+    for name, ops in expected.items():
+        b = make_backend(name, yager_p=3.0)
+        for op, want in zip((b.conj, b.disj, b.impl), ops):
+            for x in grid:
+                for y in grid:
+                    assert op(x, y) == min(1.0, max(0.0, want(x, y))), (name, want, x, y)
 
 
 def test_backend_options_reach_operators():
@@ -422,10 +447,6 @@ def test_compile_atom_fuzzy():
     env = Env(outputs=[0.7, 0.3])
     assert truth_function(f, rc)(env) == pytest.approx(0.84)
     assert loss_function(f, rc)(env) == pytest.approx(0.16)
-    lv = compile_formula(f, rc, env)
-    assert isinstance(lv, LossValue)
-    assert lv.polarity == ONE_WHEN_TRUE
-    assert lv.node == pytest.approx(0.16)
 
 
 def test_compile_atom_dl2():
@@ -433,8 +454,6 @@ def test_compile_atom_dl2():
     dl2 = make_backend("dl2")
     env = Env(outputs=[0.7, 0.3])
     assert loss_function(f, dl2)(env) == pytest.approx(0.2)
-    lv = compile_formula(f, dl2, env)
-    assert lv.polarity == ZERO_WHEN_TRUE
 
 
 def test_compile_satisfied_implication_has_zero_loss():
@@ -573,5 +592,5 @@ def test_compile_loss_value_node_retains_graph():
     f = parse("out[0] <= 0.5", CTX)
     dl2 = make_backend("dl2")
     x = var(0.9)
-    lv = compile_formula(f, dl2, Env(outputs=[x]))
-    assert grad(lv.node, [x])[x] == 1.0
+    loss = loss_function(f, dl2)(Env(outputs=[x]))
+    assert grad(loss, [x])[x] == 1.0
