@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over scalars or a batch axis.
 
-A value is a plain Python float, a 1-d ndarray with one entry per sample
-of a batch, or a `Node` holding either.  Arithmetic involving at least one
-node records the local derivatives eagerly, so the backward pass is a
-single accumulation sweep in reverse topological order.  An operation
-whose result cannot depend on any node returns a bare value, which keeps
-dead branches (the losing side of a max, a satisfied sub-constraint) off
-the tape entirely.
+A value is a plain Python float, an ndarray whose first axis runs over the
+samples of a batch (1-d, or with trailing axes from `stack`), or a `Node`
+holding either.  Arithmetic involving at least one node records the local
+derivatives eagerly, so the backward pass is a single accumulation sweep
+in reverse topological order.  An operation whose result cannot depend on
+any node returns a bare value, which keeps dead branches (the losing side
+of a max, a satisfied sub-constraint) off the tape entirely.
 
 Every operation serves floats unchanged and never calls numpy on them.
 When a value is an array, each row is an independent sample: branching
@@ -16,6 +16,15 @@ operand itself, so dead branches stay off the tape here too.  Domain
 checks fire only on rows that take the guarded branch.  `Node` sets
 `__array_ufunc__ = None`, so `ndarray <op> Node` defers to the node's
 reflected operator instead of building an object array.
+
+Two operations have partials that are not elementwise: `stack` lays batch
+columns side by side along a new last axis (an index may repeat), and
+`column` reads one slot back out.  Their partials are small objects whose
+`__rmul__` maps the child's adjoint into the parent's shape (summing a
+stacked slot back into its column, or placing a column's adjoint in its
+slot), so the reverse sweep keeps its one rule, `p.adjoint += a * d`, for
+array and float adjoints alike.  The loss compiler uses them to evaluate
+conjuncts of one shape once, on a (batch, conjuncts) array.
 
 Kink conventions, applied consistently here, row by row, and in the
 analytic backprop elsewhere:
@@ -181,6 +190,76 @@ def select(mask, a, b):
     if not parents:
         return value
     return Node(value, tuple(parents), tuple(partials))
+
+
+# -- stacking columns along a last axis --------------------------------
+
+
+class _Gather:
+    """Partial of a stacked value with respect to one of its columns: the
+    sum of the adjoint over the slots that column fills."""
+
+    __slots__ = ("slots",)
+    __array_ufunc__ = None
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def __rmul__(self, a):
+        slots = self.slots
+        if type(a) is not float and isinstance(a, np.ndarray):
+            if len(slots) == 1:
+                return a[..., slots[0]]
+            return a[..., slots].sum(axis=-1)
+        return a * len(slots)
+
+
+class _Scatter:
+    """Partial of one column with respect to the stacked value: the adjoint
+    placed in that column, zero elsewhere."""
+
+    __slots__ = ("shape", "k")
+    __array_ufunc__ = None
+
+    def __init__(self, shape, k):
+        self.shape = shape
+        self.k = k
+
+    def __rmul__(self, a):
+        out = np.zeros(self.shape)
+        out[..., self.k] = a
+        return out
+
+
+def stack(columns, idx):
+    """The array whose slot j along a new last axis is `columns[idx[j]]`.
+
+    `columns` holds arrays over the batch axis or nodes with such values;
+    an index may repeat.  The result is a node whose backward sums each
+    slot back into its column, or a bare array when no column is a node.
+    """
+    picked = [columns[i] for i in idx]
+    value = np.stack([c.value if isinstance(c, Node) else c for c in picked], axis=-1)
+    slots: dict[Node, list[int]] = {}
+    for j, c in enumerate(picked):
+        if isinstance(c, Node):
+            slots.setdefault(c, []).append(j)
+    if not slots:
+        return value
+    return Node(value, tuple(slots), tuple(_Gather(tuple(s)) for s in slots.values()))
+
+
+def column(x, k):
+    """Slot k along the last axis of a stacked value, as a contiguous array
+    (a node when `x` is one).  A float stands for every slot and is returned
+    as it is."""
+    v = x.value if isinstance(x, Node) else x
+    if type(v) is float or not isinstance(v, np.ndarray):
+        return x
+    c = np.ascontiguousarray(v[..., k])
+    if isinstance(x, Node):
+        return Node(c, (x,), (_Scatter(v.shape, k),))
+    return c
 
 
 # -- piecewise and transcendental operations --------------------------

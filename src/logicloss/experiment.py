@@ -118,6 +118,7 @@ def load_config(path):
     """Read a key = value config file into an ExperimentConfig."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values = {}
+    lines = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -140,7 +141,17 @@ def load_config(path):
                     values[key] = fields[key].type(raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
-    return ExperimentConfig(**values)
+            lines[key] = lineno
+    try:
+        return ExperimentConfig(**values)
+    except ValueError:
+        # each check reads one key, so a bad key also fails on its own
+        for key, value in values.items():
+            try:
+                ExperimentConfig(**{key: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lines[key]}: {exc}") from exc
+        raise
 
 
 def _resolve_tables(cfg):
@@ -343,7 +354,9 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     if not grid:
         raise ValueError("empty lambda grid")
     score = _score_fn(key)
-    jobs = max(1, int(jobs))
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    jobs = int(jobs)
     work = [(cfg, lam) for lam in grid]
     if jobs == 1:
         results = [_sweep_point(w) for w in work]

@@ -651,6 +651,76 @@ def bigand_instances(f: BigAnd) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Conjuncts and their templates
+
+
+def conjuncts(f: Formula) -> tuple:
+    """The conjuncts of a conjunction in fold order: the instances of a
+    BigAnd, or the left spine of an And chain ((a and b) and c gives a, b,
+    c; a and (b and c) gives a and the conjunction b and c)."""
+    if isinstance(f, BigAnd):
+        return bigand_instances(f)
+    spine = []
+    while isinstance(f, And):
+        spine.append(f.right)
+        f = f.left
+    spine.append(f)
+    return tuple(reversed(spine))
+
+
+class _NoTemplate(Exception):
+    pass
+
+
+def template(g: Formula):
+    """(template, output indices, input indices) of a conjunct, or None.
+
+    The template is `g` with its out[...] indices renumbered 0, 1, ... by
+    first appearance, and its in[...] indices likewise; the index tuples
+    give the original index of each slot.  Conjuncts that differ only in
+    which entries they read share a template (the AST is frozen, so equal
+    templates hash together).  A conjunct that reads no single entry, reads
+    a whole or primed vector (norm2), or holds an unbound index or a nested
+    forall has no template.
+    """
+    slots = {Output: {}, Input: {}}
+
+    def expr(e):
+        kind = type(e)
+        if kind is Output or kind is Input:
+            if isinstance(e.index, str):
+                raise _NoTemplate
+            seen = slots[kind]
+            return kind(seen.setdefault(e.index, len(seen)))
+        if kind is Const:
+            return e
+        if kind is Add or kind is Sub or kind is Mul:
+            return kind(expr(e.left), expr(e.right))
+        if kind is Sum:
+            return Sum(tuple(expr(x) for x in e.items))
+        raise _NoTemplate
+
+    def form(h):
+        kind = type(h)
+        if kind is Cmp:
+            return Cmp(h.op, expr(h.left), expr(h.right))
+        if kind is And or kind is Or or kind is Implies:
+            return kind(form(h.left), form(h.right))
+        if kind is Not:
+            return Not(form(h.body))
+        raise _NoTemplate
+
+    try:
+        t = form(g)
+    except _NoTemplate:
+        return None
+    outs, ins = tuple(slots[Output]), tuple(slots[Input])
+    if not outs and not ins:
+        return None
+    return t, outs, ins
+
+
+# ---------------------------------------------------------------------------
 # Negation pushing
 
 # A negated comparison is replaced by its complement, written with < / <=

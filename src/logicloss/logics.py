@@ -12,6 +12,15 @@ implementation serves batched training, per-sample evaluation, and the
 finite-difference oracles.  On a batch, every branch below is a masked
 select (`autodiff.select`) that applies the scalar rule row by row.
 
+A compiled conjunction adds a second array axis on a batch: conjuncts that
+differ only in which outputs or inputs they read (`formula.template`) run
+their shared template once, on arrays of shape (batch, conjuncts) stacked
+from the columns they read, and are then folded left in their original
+order by the backend's conjunction.  Every operator is elementwise, so each
+conjunct gets the numbers it would get compiled alone, and the tape holds
+one copy of the template instead of one copy per conjunct.  On floats each
+conjunct runs its own closure and numpy is never called.
+
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
     comparison has no strictness to express, and the two differ on a
@@ -33,8 +42,10 @@ import numpy as np
 
 from .autodiff import (
     Node,
+    column,
     report_margin,
     select,
+    stack,
     val,
     vabs,
     vmax,
@@ -43,7 +54,19 @@ from .autodiff import (
     vsigmoid,
     vsqrt,
 )
-from .formula import And, BigAnd, Cmp, Env, Implies, Not, Or, bigand_instances, expr_fn
+from .formula import (
+    And,
+    BigAnd,
+    Cmp,
+    Env,
+    Implies,
+    Not,
+    Or,
+    _pick,
+    conjuncts,
+    expr_fn,
+    template,
+)
 
 
 class CompileError(ValueError):
@@ -394,10 +417,8 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
         op = f.op
         cmpf = backend.compare
         return lambda env: cmpf(op, fl(env), fr(env))
-    if isinstance(f, And):
-        fl, fr = truth_function(f.left, backend), truth_function(f.right, backend)
-        conj = backend.conj
-        return lambda env: conj(fl(env), fr(env))
+    if isinstance(f, (And, BigAnd)):
+        return _conjunction(conjuncts(f), backend)
     if isinstance(f, Or):
         fl, fr = truth_function(f.left, backend), truth_function(f.right, backend)
         disj = backend.disj
@@ -420,18 +441,73 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
         fb = truth_function(f.body, backend)
         neg = backend.neg
         return lambda env: neg(fb(env))
-    if isinstance(f, BigAnd):
-        fns = tuple(truth_function(g, backend) for g in bigand_instances(f))
-        conj = backend.conj
-
-        def run(env):
-            acc = fns[0](env)
-            for fn in fns[1:]:
-                acc = conj(acc, fn(env))
-            return acc
-
-        return run
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
+    """The left fold, by `backend.conj`, of the conjuncts `parts`.
+
+    On floats each conjunct runs its own closure, as it was compiled alone.
+    On a batch, the conjuncts that share a template (`formula.template`)
+    run it once on a (batch, members) array whose slot i stacks the columns
+    the members read there; each member is then one column of the result.
+    The fold itself keeps the conjuncts' order, so both ways give the same
+    numbers.
+    """
+    fns = tuple(truth_function(g, backend) for g in parts)
+    conj = backend.conj
+
+    def fold(env):
+        acc = fns[0](env)
+        for fn in fns[1:]:
+            acc = conj(acc, fn(env))
+        return acc
+
+    members: dict = {}
+    for j, g in enumerate(parts):
+        t = template(g)
+        if t is not None:
+            members.setdefault(t[0], []).append((j, t[1], t[2]))
+    shared = []
+    for t, ms in members.items():
+        if len(ms) >= 2:
+            js, outs, ins = zip(*ms)
+            shared.append((truth_function(t, backend), js, tuple(zip(*outs)), tuple(zip(*ins))))
+    if not shared:
+        return fold
+    grouped = {j for _, js, _, _ in shared for j in js}
+    singles = tuple(j for j in range(len(fns)) if j not in grouped)
+    top_out = max((i for _, _, outs, _ in shared for idx in outs for i in idx), default=-1)
+    top_in = max((i for _, _, _, ins in shared for idx in ins for i in idx), default=-1)
+    # the highest entry each vector must bind; the first also tells a batch
+    # from floats
+    reads = tuple((ref, top) for ref, top in (("out", top_out), ("in", top_in)) if top >= 0)
+
+    def run(env):
+        x = _pick(env.vector(reads[0][0]), reads[0][1], reads[0][0])
+        v = x.value if isinstance(x, Node) else x
+        if type(v) is float or not isinstance(v, np.ndarray):
+            return fold(env)
+        for ref, top in reads[1:]:
+            _pick(env.vector(ref), top, ref)
+        values = [None] * len(fns)
+        for j in singles:
+            values[j] = fns[j](env)
+        for fn, js, outs, ins in shared:
+            tv = fn(
+                Env(
+                    outputs=[stack(env.outputs, idx) for idx in outs],
+                    inputs=[stack(env.inputs, idx) for idx in ins],
+                )
+            )
+            for k, j in enumerate(js):
+                values[j] = column(tv, k)
+        acc = values[0]
+        for value in values[1:]:
+            acc = conj(acc, value)
+        return acc
+
+    return run
 
 
 def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:

@@ -8,7 +8,10 @@ constraint term is differentiated on the tape once per batch: each of the
 10-or-so probability outputs is one leaf whose value is an array over the
 batch axis, so the tape's size does not grow with the batch or the model,
 and its probability-space gradient is chained through the softmax Jacobian
-in one array expression.
+in one array expression.  Conjuncts of one shape (the csim triples, groups
+of one size) share one copy of their template on the tape, evaluated over
+a (batch, conjuncts) array, so the tape does not grow with the number of
+conjuncts either, beyond one column read and one fold step per conjunct.
 
 ``forward_nodes`` runs one sample end to end on a scalar tape instead.  It
 is far too slow to train with and exists so tests can triangulate the

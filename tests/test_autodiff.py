@@ -4,11 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from logicloss.autodiff import (
     DomainError,
     Node,
+    column,
     finite_diff,
     grad,
+    stack,
     track_branch_margins,
     val,
     var,
@@ -265,3 +269,70 @@ def test_deep_chain_iterative_topo():
         e = e * 0.9999 + 0.0001
     g = grad(e, [x])
     assert g[x] == pytest.approx(0.9999 ** 5000, rel=1e-9)
+
+
+# -- stack and column ----------------------------------------------------
+
+# column 0 fills two slots of the first stack, column 2 one slot of each,
+# column 1 one slot of the first and two of the second
+_SLOTS = ((0, 2, 0, 1), (2, 1, 1, 3))
+
+
+def _through_stack(cols):
+    a, b = (stack(cols, idx) for idx in _SLOTS)
+    t = a * b + vsqrt(a)
+    out = 0.0
+    for k in range(len(_SLOTS[0])):
+        out = out + (k + 1.0) * column(t, k)
+    return out
+
+
+def _per_column(cols):
+    out = 0.0
+    for k, (i, j) in enumerate(zip(*_SLOTS)):
+        a, b = cols[i], cols[j]
+        out = out + (k + 1.0) * (a * b + vsqrt(a))
+    return out
+
+
+def test_stack_and_column_match_a_per_column_expression_and_finite_differences():
+    point = np.random.default_rng(4).uniform(0.2, 1.5, size=(4, 3))
+    leaves = [var(row) for row in point]
+    got = _through_stack(leaves)
+    g = grad(got, leaves)
+    want_leaves = [var(row) for row in point]
+    want = _per_column(want_leaves)
+    gw = grad(want, want_leaves)
+    assert np.array_equal(val(got), val(want))
+    for lf, wl in zip(leaves, want_leaves):
+        np.testing.assert_allclose(g[lf], gw[wl], rtol=1e-15, atol=0.0)
+    # rows are independent samples, so each row's partial is that of the row sum
+    fd = finite_diff(
+        lambda p: float(np.sum(_through_stack(list(np.reshape(p, point.shape))))), point.ravel()
+    )
+    np.testing.assert_allclose(np.concatenate([g[lf] for lf in leaves]), fd, rtol=1e-6)
+
+
+def test_a_float_adjoint_reaches_stack_and_column():
+    leaves = [var(np.array([0.1, 0.2])), var(np.array([0.3, 0.4])), var(np.array([0.5, 0.6]))]
+    # the stacked node is the root, so its adjoint is the float 1.0
+    g = grad(stack(leaves, (0, 0, 1)), leaves)
+    assert g[leaves[0]] == 2.0 and g[leaves[1]] == 1.0 and g[leaves[2]] == 0.0
+    # 1 - x hands the float -1.0 down to the column
+    g = grad(1.0 - column(stack(leaves, (2, 0, 2)), 1), leaves)
+    assert np.array_equal(g[leaves[0]], [-1.0, -1.0])
+    assert np.array_equal(np.broadcast_to(g[leaves[2]], (2,)), [0.0, 0.0])
+
+
+def test_stack_and_column_without_nodes_return_bare_arrays():
+    cols = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+    s = stack(cols, (1, 0, 1))
+    assert type(s) is np.ndarray
+    assert np.array_equal(s, [[3.0, 1.0, 3.0], [4.0, 2.0, 4.0]])
+    c = column(s, 1)
+    assert type(c) is np.ndarray and c.flags.c_contiguous
+    assert np.array_equal(c, cols[0])
+    assert column(0.5, 3) == 0.5
+    x = var(np.array([5.0, 6.0]))
+    mixed = stack([cols[0], x], (0, 1))
+    assert isinstance(mixed, Node) and mixed.parents == (x,)

@@ -187,6 +187,20 @@ def test_sweep_table(capsys):
     assert lines[3].split(": ")[1] in ("0", "0.3")
 
 
+def test_sweep_rejects_zero_jobs(capsys):
+    code = main(["sweep", "--sweep", "0", "--jobs", "0"] + _TINY_FLAGS)
+    assert code == 1
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_train_names_the_line_of_a_config_value_that_fails_validation(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("backend = rc\nepochs = 0\n")
+    code = main(["train", "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: epochs must be >= 1, got 0\n"
+
+
 def test_sweep_select_sum(capsys):
     code = main(
         ["sweep", "--logic", "rc", "--sweep", "0", "--select", "sum"] + _TINY_FLAGS

@@ -222,6 +222,20 @@ def test_load_config_names_the_file_line_and_key_of_a_bad_value(tmp_path):
         assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_load_config_names_the_file_and_line_of_a_value_that_fails_validation(tmp_path):
+    path = tmp_path / "bad.cfg"
+    for text, where, message in (
+        ("backend = rc\nepochs = 0\n", ":2: ", "epochs must be >= 1, got 0"),
+        ("# run\nlambda = 0.5\n\nbackend = nope\nseed = 1\n", ":4: ", "backend='nope': unknown backend"),
+        ("epochs = 3\nhidden = 8,0\n", ":2: ", "hidden widths must be >= 1"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            load_config(path)
+        assert str(info.value).startswith(str(path) + where + message)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_build_constraint_shapes():
     tables = synthetic_tables(5)
     csim = build_constraint(ExperimentConfig(constraint="csim", n_classes=5), tables)
@@ -386,6 +400,18 @@ def test_lambda_sweep_rows():
     assert best2 == 0.5
     with pytest.raises(ValueError, match="empty"):
         lambda_sweep(cfg, grid=[])
+
+
+@pytest.mark.parametrize("jobs", [0, -2, float("nan")])
+def test_lambda_sweep_rejects_jobs_below_one(jobs, monkeypatch):
+    import logicloss.experiment as experiment
+
+    def no_point(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(experiment, "_sweep_point", no_point)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        lambda_sweep(TINY, grid=[0.0, 0.4], jobs=jobs)
 
 
 def test_lambda_sweep_parallel_matches_serial():
