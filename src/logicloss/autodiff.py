@@ -19,12 +19,14 @@ reflected operator instead of building an object array.
 
 Two operations have partials that are not elementwise: `stack` lays batch
 columns side by side along a new last axis (an index may repeat), and
-`column` reads one slot back out.  Their partials are small objects whose
-`__rmul__` maps the child's adjoint into the parent's shape (summing a
-stacked slot back into its column, or placing a column's adjoint in its
-slot), so the reverse sweep keeps its one rule, `p.adjoint += a * d`, for
-array and float adjoints alike.  The loss compiler uses them to evaluate
-conjuncts of one shape once, on a (batch, conjuncts) array.
+`aggregate` reduces such a last axis with a given rule, in one node.
+Their partials are small objects whose `__rmul__` maps the child's
+adjoint into the parent's shape (summing a stacked slot back into its
+column, or spreading the reduction's adjoint along the reduced axis), so
+the reverse sweep keeps its one rule, `p.adjoint += a * d`, for array and
+float adjoints alike.  The loss compiler uses them to evaluate conjuncts
+of one shape once, on a (batch, conjuncts) array, and to reduce a whole
+conjunction by its t-norm at once.
 
 Kink conventions, applied consistently here, row by row, and in the
 analytic backprop elsewhere:
@@ -65,6 +67,12 @@ def track_branch_margins():
         yield _margins
     finally:
         _margins = saved
+
+
+def tracking_margins() -> bool:
+    """Whether a `track_branch_margins` block is active, so that a caller
+    can skip building a margin array nobody records."""
+    return _margins is not None
 
 
 def report_margin(d) -> None:
@@ -174,9 +182,10 @@ def select(mask, a, b):
     A uniform mask returns the winning operand itself.  Otherwise each
     row's gradient goes to the operand that row took.
     """
-    if mask.all():
+    hits = np.count_nonzero(mask)
+    if hits == mask.size:
         return a
-    if not mask.any():
+    if hits == 0:
         return b
     value = np.where(mask, val(a), val(b))
     parents = []
@@ -214,21 +223,21 @@ class _Gather:
         return a * len(slots)
 
 
-class _Scatter:
-    """Partial of one column with respect to the stacked value: the adjoint
-    placed in that column, zero elsewhere."""
+class _Spread:
+    """Partial of a reduction over the last axis with respect to a piece
+    that fills several slots of it: the reduction's adjoint, repeated along
+    that axis, times the partials of those slots."""
 
-    __slots__ = ("shape", "k")
+    __slots__ = ("d",)
     __array_ufunc__ = None
 
-    def __init__(self, shape, k):
-        self.shape = shape
-        self.k = k
+    def __init__(self, d):
+        self.d = d
 
     def __rmul__(self, a):
-        out = np.zeros(self.shape)
-        out[..., self.k] = a
-        return out
+        if type(a) is not float and isinstance(a, np.ndarray):
+            return a[..., None] * self.d
+        return a * self.d
 
 
 def stack(columns, idx):
@@ -249,17 +258,41 @@ def stack(columns, idx):
     return Node(value, tuple(slots), tuple(_Gather(tuple(s)) for s in slots.values()))
 
 
-def column(x, k):
-    """Slot k along the last axis of a stacked value, as a contiguous array
-    (a node when `x` is one).  A float stands for every slot and is returned
-    as it is."""
-    v = x.value if isinstance(x, Node) else x
-    if type(v) is float or not isinstance(v, np.ndarray):
-        return x
-    c = np.ascontiguousarray(v[..., k])
-    if isinstance(x, Node):
-        return Node(c, (x,), (_Scatter(v.shape, k),))
-    return c
+def aggregate(pieces, rule):
+    """`rule` applied along the last axis of the array that `pieces` lay out.
+
+    Each piece is (value, slots).  With a tuple of slots, the value's own
+    last axis fills those positions of the new last axis, in order; with an
+    int slot, the whole value fills that one position.  A float fills its
+    positions on every row.  `rule(x)` returns the reduction of x along its
+    last axis and, with x's shape, the partials of that by each entry.  The
+    result is one node whose parents are the pieces that are nodes, or a
+    bare value when no piece is a node (a float when no piece is an array).
+    """
+    values = [p.value if isinstance(p, Node) else p for p, _ in pieces]
+    n = sum(len(s) if type(s) is tuple else 1 for _, s in pieces)
+    whole = len(pieces) == 1 and isinstance(values[0], np.ndarray) and pieces[0][1] == tuple(range(n))
+    if whole:
+        x = values[0]
+    else:
+        outer = np.broadcast_shapes(
+            *(np.shape(v)[:-1] if type(s) is tuple else np.shape(v) for v, (_, s) in zip(values, pieces))
+        )
+        x = np.empty(outer + (n,))
+        for v, (_, s) in zip(values, pieces):
+            x[..., s] = v
+    value, d = rule(x)
+    if x.ndim == 1:
+        value = float(value)
+    parents = []
+    partials = []
+    for p, s in pieces:
+        if isinstance(p, Node):
+            parents.append(p)
+            partials.append(_Spread(d if whole else d[..., s]) if type(s) is tuple else d[..., s])
+    if not parents:
+        return value
+    return Node(value, tuple(parents), tuple(partials))
 
 
 # -- piecewise and transcendental operations --------------------------
@@ -476,10 +509,19 @@ def grad(root, wrt: Sequence[Node]) -> dict[Node, object]:
 
     root.adjoint = 1.0
     if isinstance(root.value, np.ndarray):
-        # a node could be skipped only if every row of its adjoint were 0
+        # a node could be skipped only if every row of its adjoint were 0;
+        # a unit partial (add, sub, neg, a clamp's pass-through) needs no
+        # multiply, and a - b is a + (-b) bit for bit
         for node in reversed(topo):
             a = node.adjoint
             for p, d in zip(node.parents, node.partials):
+                if type(d) is float:
+                    if d == 1.0:
+                        p.adjoint += a
+                        continue
+                    if d == -1.0:
+                        p.adjoint -= a
+                        continue
                 p.adjoint += a * d
     else:
         for node in reversed(topo):

@@ -29,7 +29,7 @@ from logicloss.constraints import (
 )
 from logicloss.data import Dataset, check_noise_frac, gen_synthetic, load_idx
 from logicloss.formula import batch_env, crisp_fn, push_negations, sample_rows, uses_paired_samples
-from logicloss.logics import closed01, make_backend, s_prob_sum, t_product
+from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum, t_product
 from logicloss.network import (
     Optimizer,
     compile_constraint,
@@ -190,7 +190,7 @@ def _training_backend(cfg):
     if backend.impl is None:
         return backend
     if cfg.constraint == "csim":
-        return dataclasses.replace(backend, conj=closed01(t_product))
+        return dataclasses.replace(backend, conj=closed01(t_product), conj_n=agg_product)
     if cfg.constraint == "group":
         return dataclasses.replace(backend, disj=closed01(s_prob_sum))
     return backend
@@ -227,21 +227,24 @@ def _load_data(cfg):
 
 
 def prediction_accuracy(m, d):
-    probs = forward_batch(m, d.features)
-    return 100.0 * float((probs.argmax(axis=1) == d.labels).mean())
+    return _prediction_accuracy(forward_batch(m, d.features), d)
 
 
 def constraint_accuracy(m, d, f):
     """Percentage of test samples (pairs, for two-sample constraints)
-    whose crisp evaluation holds on the model's outputs.
+    whose crisp evaluation holds on the model's outputs."""
+    return _constraint_accuracy(crisp_fn(f), uses_paired_samples(f), forward_batch(m, d.features), d)
 
-    One call of the crisp evaluator covers the whole set: each output and
-    input column is an array over the samples, and the rows pair up as
-    `formula.sample_rows` says.
-    """
-    fn = crisp_fn(f)
-    probs = forward_batch(m, d.features)
-    k, rows = sample_rows(len(d), uses_paired_samples(f))
+
+def _prediction_accuracy(probs, d):
+    return 100.0 * float((probs.argmax(axis=1) == d.labels).mean())
+
+
+def _constraint_accuracy(fn, paired, probs, d):
+    """One call of the crisp evaluator `fn` covers the whole set: each
+    output and input column is an array over the samples, and the rows pair
+    up as `formula.sample_rows` says."""
+    k, rows = sample_rows(len(d), paired)
     if k == 0:
         raise ValueError("need at least two samples for a paired constraint")
     env = batch_env([list(probs[r].T) for r in rows], [list(d.features[r].T) for r in rows])
@@ -266,6 +269,9 @@ def run(cfg):
             train_formula = push_negations(train_formula, rewrite_implication=True)
         train_term = compile_constraint(train_formula, backend)
 
+    # compiled when the first epoch is scored, so the first step does not wait
+    crisp = None
+
     dims = train.features.shape[1]
     model = init_model([dims, *cfg.hidden, train.n_classes], cfg.seed)
     opt = Optimizer(lr=cfg.lr, momentum=cfg.momentum)
@@ -289,13 +295,16 @@ def run(cfg):
                 raise
             ce_total += ce * len(sl)
             logic_total += logic * len(sl)
+        if crisp is None:
+            crisp, paired = crisp_fn(constraint), uses_paired_samples(constraint)
+        probs = forward_batch(model, test.features)
         reports.append(
             EpochReport(
                 epoch=epoch,
                 train_ce=ce_total / n,
                 train_logic=logic_total / n if cfg.lam > 0.0 else 0.0,
-                p_acc=prediction_accuracy(model, test),
-                c_acc=constraint_accuracy(model, test, constraint),
+                p_acc=_prediction_accuracy(probs, test),
+                c_acc=_constraint_accuracy(crisp, paired, probs, test),
             )
         )
     return reports

@@ -672,52 +672,58 @@ class _NoTemplate(Exception):
     pass
 
 
-def template(g: Formula):
-    """(template, output indices, input indices) of a conjunct, or None.
+_BINARY = (Add, Sub, Mul, And, Or, Implies)
 
-    The template is `g` with its out[...] indices renumbered 0, 1, ... by
-    first appearance, and its in[...] indices likewise; the index tuples
-    give the original index of each slot.  Conjuncts that differ only in
-    which entries they read share a template (the AST is frozen, so equal
-    templates hash together).  A conjunct that reads no single entry, reads
-    a whole or primed vector (norm2), or holds an unbound index or a nested
-    forall has no template.
+
+def template(g: Formula):
+    """(shape, output indices, input indices) of a conjunct, or None.
+
+    One walk over `g` lists its node kinds, operators and constants in
+    pre-order, with each out[...] index replaced by its slot: the indices
+    numbered 0, 1, ... by first appearance, and the in[...] indices
+    likewise.  That flat tuple is the shape, so conjuncts that differ only
+    in which entries they read have equal shapes (which hash together), and
+    the index tuples give the original index of each slot.  A conjunct that
+    reads no single entry, reads a whole or primed vector (norm2), or holds
+    an unbound index or a nested forall has no template.
     """
     slots = {Output: {}, Input: {}}
+    shape = []
 
-    def expr(e):
-        kind = type(e)
+    def walk(h):
+        kind = type(h)
+        shape.append(kind)
         if kind is Output or kind is Input:
-            if isinstance(e.index, str):
+            if isinstance(h.index, str):
                 raise _NoTemplate
             seen = slots[kind]
-            return kind(seen.setdefault(e.index, len(seen)))
-        if kind is Const:
-            return e
-        if kind is Add or kind is Sub or kind is Mul:
-            return kind(expr(e.left), expr(e.right))
-        if kind is Sum:
-            return Sum(tuple(expr(x) for x in e.items))
-        raise _NoTemplate
-
-    def form(h):
-        kind = type(h)
-        if kind is Cmp:
-            return Cmp(h.op, expr(h.left), expr(h.right))
-        if kind is And or kind is Or or kind is Implies:
-            return kind(form(h.left), form(h.right))
-        if kind is Not:
-            return Not(form(h.body))
-        raise _NoTemplate
+            shape.append(seen.setdefault(h.index, len(seen)))
+        elif kind is Const:
+            shape.append(h.value)
+        elif kind is Cmp:
+            shape.append(h.op)
+            walk(h.left)
+            walk(h.right)
+        elif kind in _BINARY:
+            walk(h.left)
+            walk(h.right)
+        elif kind is Not:
+            walk(h.body)
+        elif kind is Sum:
+            shape.append(len(h.items))
+            for x in h.items:
+                walk(x)
+        else:
+            raise _NoTemplate
 
     try:
-        t = form(g)
+        walk(g)
     except _NoTemplate:
         return None
     outs, ins = tuple(slots[Output]), tuple(slots[Input])
     if not outs and not ins:
         return None
-    return t, outs, ins
+    return tuple(shape), outs, ins
 
 
 # ---------------------------------------------------------------------------

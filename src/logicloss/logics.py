@@ -14,12 +14,18 @@ select (`autodiff.select`) that applies the scalar rule row by row.
 
 A compiled conjunction adds a second array axis on a batch: conjuncts that
 differ only in which outputs or inputs they read (`formula.template`) run
-their shared template once, on arrays of shape (batch, conjuncts) stacked
-from the columns they read, and are then folded left in their original
-order by the backend's conjunction.  Every operator is elementwise, so each
-conjunct gets the numbers it would get compiled alone, and the tape holds
-one copy of the template instead of one copy per conjunct.  On floats each
-conjunct runs its own closure and numpy is never called.
+their shared template once, on arrays of shape (batch, members) stacked
+from the columns they read.  Every conjunct then takes its slot, in its
+original order, along the last axis of one (batch, conjuncts) array, which
+the backend's aggregation operator (`LogicBackend.conj_n`, the t-norm's
+n-ary form) reduces in one tape node.  Every operator is elementwise, so
+each conjunct gets the numbers it would get compiled alone, and the tape
+holds one copy of the template and one reduction, however many conjuncts
+there are.  The reduction equals the left fold by the backend's
+conjunction: bit for bit for product, min and sum, which run in the fold's
+order, and to rounding for Lukasiewicz and Yager, which sum first.  On
+floats each conjunct runs its own closure, the fold runs pairwise, and
+numpy is never called.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -42,10 +48,11 @@ import numpy as np
 
 from .autodiff import (
     Node,
-    column,
+    aggregate,
     report_margin,
     select,
     stack,
+    tracking_margins,
     val,
     vabs,
     vmax,
@@ -95,6 +102,55 @@ def t_product(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Aggregation operators: each t-norm over the last axis of an array at once
+# (van Krieken et al., "Analyzing Differentiable Fuzzy Logic Operators").
+# Each returns the reduced value and the partials by every entry, with the
+# kinks, ties and base-0 conventions that the pairwise left fold has.
+
+
+def agg_product(x):
+    # sequential, so the value is the fold's bit for bit; prefix x suffix
+    # partials stay right where an entry is 0
+    prefix = np.multiply.accumulate(x, axis=-1)
+    suffix = np.multiply.accumulate(x[..., ::-1], axis=-1)[..., ::-1]
+    d = np.ones_like(x)
+    d[..., 1:] = prefix[..., :-1]
+    d[..., :-1] *= suffix[..., 1:]
+    return prefix[..., -1], d
+
+
+def agg_godel(x):
+    # the fold's min(a, b) keeps a on ties: the first argmin takes the gradient
+    d = (np.arange(x.shape[-1]) == x.argmin(axis=-1)[..., None]).astype(float)
+    return x.min(axis=-1), d
+
+
+def agg_lukasiewicz(x):
+    s = x.sum(axis=-1) - (x.shape[-1] - 1)
+    live = s > 0.0
+    d = np.broadcast_to(live[..., None], x.shape).astype(float)
+    return np.where(live, s, 0.0), d
+
+
+def agg_yager(x, p: float = 2.0):
+    u = 1.0 - x
+    total = (u**p).sum(axis=-1)
+    w = total ** (1.0 / p)
+    live = w < 1.0
+    # d w / d total; a zero total has every u at 0, where p u^(p-1) is 0
+    # (p > 1) or 1 (p == 1, where d w / d total is 1 anyway): vpow's base-0
+    # conventions, with a stand-in base that keeps 0 ** negative out
+    dw = np.where(total > 0.0, total, 1.0) ** (1.0 / p - 1.0) / p
+    d = np.where(live, dw, 0.0)[..., None] * (p * u ** (p - 1.0))
+    return np.where(live, 1.0 - w, 0.0), d
+
+
+def agg_sum(x):
+    # sequential, like the fold of a + b
+    return np.add.accumulate(x, axis=-1)[..., -1], np.ones_like(x)
+
+
+# ---------------------------------------------------------------------------
 # s-norms (fuzzy disjunction)
 
 
@@ -126,7 +182,8 @@ def i_godel(x, y):
     xv, yv = val(x), val(y)
     d = xv - yv
     if type(d) is not float and isinstance(d, np.ndarray):
-        report_margin(np.abs(d))
+        if tracking_margins():
+            report_margin(np.abs(d))
         return select(xv <= yv, 1.0, y)
     report_margin(abs(d))
     if xv <= yv:
@@ -151,11 +208,13 @@ def i_goguen(x, y):
     xv, yv = val(x), val(y)
     d = xv - yv
     if type(d) is not float and isinstance(d, np.ndarray):
-        report_margin(np.abs(d))
+        if tracking_margins():
+            report_margin(np.abs(d))
         divide = xv > yv
         if not divide.any():
             return 1.0
-        report_margin(np.where(divide, xv, np.inf))
+        if tracking_margins():
+            report_margin(np.where(divide, xv, np.inf))
         # rows that return 1 divide by a stand-in 1, so their x may be 0
         return select(divide, y / select(divide, x, 1.0), 1.0)
     report_margin(abs(d))
@@ -252,7 +311,8 @@ def _dl2_eq_indicator(x, y):
     xv, yv = val(x), val(y)
     d = xv - yv
     if type(d) is not float and isinstance(d, np.ndarray):
-        report_margin(np.abs(d))
+        if tracking_margins():
+            report_margin(np.abs(d))
         return np.equal(xv, yv).astype(float)
     report_margin(abs(d))
     return 1.0 if xv == yv else 0.0
@@ -301,6 +361,7 @@ class LogicBackend:
 
     name: str
     conj: Callable
+    conj_n: Callable  # conj over an array's last axis: (value, partials)
     disj: Callable
     impl: Optional[Callable]  # None: rewrite implications away first
     neg: Optional[Callable]  # None: push negations to comparisons first
@@ -318,7 +379,8 @@ def closed01(fn: Callable) -> Callable:
 
 
 # name -> (t-norm, s-norm, implication); make_backend binds the Yager
-# operators' p and reshapes the rc-s and rc-phi implications
+# operators' p, adds the t-norm's aggregation operator and reshapes the
+# rc-s and rc-phi implications
 _FUZZY_TABLE = {
     "godel": (t_godel, s_godel, i_godel),
     "kd": (t_godel, s_godel, i_kleene_dienes),
@@ -337,6 +399,13 @@ _FUZZY_TABLE = {
 }
 
 BACKEND_NAMES = ("dl2",) + tuple(_FUZZY_TABLE)
+
+_AGGREGATION = {
+    t_godel: agg_godel,
+    t_lukasiewicz: agg_lukasiewicz,
+    t_yager: agg_yager,
+    t_product: agg_product,
+}
 
 
 def make_backend(
@@ -357,6 +426,7 @@ def make_backend(
         return LogicBackend(
             name="dl2",
             conj=lambda a, b: dl2_connective("and", a, b),
+            conj_n=agg_sum,
             disj=lambda a, b: dl2_connective("or", a, b),
             impl=None,
             neg=None,
@@ -374,8 +444,10 @@ def make_backend(
     if not sigmoidal_s > 0.0:
         raise ValueError("sigmoidal_s must be positive")
 
-    tnorm, snorm, impl_raw = (
-        partial(fn, p=yager_p) if fn in (t_yager, s_yager) else fn for fn in _FUZZY_TABLE[name]
+    conj_n = _AGGREGATION[_FUZZY_TABLE[name][0]]
+    tnorm, snorm, impl_raw, conj_n = (
+        partial(fn, p=yager_p) if fn in (t_yager, s_yager, agg_yager) else fn
+        for fn in (*_FUZZY_TABLE[name], conj_n)
     )
     conj = closed01(tnorm)
     disj = closed01(snorm)
@@ -390,6 +462,7 @@ def make_backend(
     return LogicBackend(
         name=name,
         conj=conj,
+        conj_n=conj_n,
         disj=disj,
         impl=closed01(impl_raw),
         neg=closed01(n_standard),
@@ -447,67 +520,89 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
 def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     """The left fold, by `backend.conj`, of the conjuncts `parts`.
 
-    On floats each conjunct runs its own closure, as it was compiled alone.
-    On a batch, the conjuncts that share a template (`formula.template`)
-    run it once on a (batch, members) array whose slot i stacks the columns
-    the members read there; each member is then one column of the result.
-    The fold itself keeps the conjuncts' order, so both ways give the same
-    numbers.
+    On floats each conjunct runs its own closure and the fold runs as
+    written.  On a batch the whole conjunction is one node:
+    `backend.conj_n` reduces an array whose last axis holds the conjuncts
+    in their order.  Conjuncts that share a template (`formula.template`)
+    fill their slots from one run of the first member's closure, on an Env
+    whose entries are (batch, members) arrays stacked from the columns the
+    members read; the other members' closures are compiled only if floats
+    ever need them.
     """
-    fns = tuple(truth_function(g, backend) for g in parts)
-    conj = backend.conj
-
-    def fold(env):
-        acc = fns[0](env)
-        for fn in fns[1:]:
-            acc = conj(acc, fn(env))
-        return acc
-
+    if len(parts) == 1:
+        return truth_function(parts[0], backend)
     members: dict = {}
     for j, g in enumerate(parts):
         t = template(g)
         if t is not None:
             members.setdefault(t[0], []).append((j, t[1], t[2]))
     shared = []
-    for t, ms in members.items():
+    tops: dict = {}  # the highest entry of each vector that a stack reads
+    for ms in members.values():
         if len(ms) >= 2:
             js, outs, ins = zip(*ms)
-            shared.append((truth_function(t, backend), js, tuple(zip(*outs)), tuple(zip(*ins))))
-    if not shared:
-        return fold
-    grouped = {j for _, js, _, _ in shared for j in js}
-    singles = tuple(j for j in range(len(fns)) if j not in grouped)
-    top_out = max((i for _, _, outs, _ in shared for idx in outs for i in idx), default=-1)
-    top_in = max((i for _, _, _, ins in shared for idx in ins for i in idx), default=-1)
-    # the highest entry each vector must bind; the first also tells a batch
-    # from floats
-    reads = tuple((ref, top) for ref, top in (("out", top_out), ("in", top_in)) if top >= 0)
+            shared.append((js, _slots(outs), _slots(ins)))
+            for ref, idx in (("out", outs), ("in", ins)):
+                if idx[0]:
+                    tops[ref] = max(tops.get(ref, -1), *(i for ix in idx for i in ix))
+    grouped = {j for js, _, _ in shared for j in js}
+    later = grouped - {js[0] for js, _, _ in shared}
+    fns = [None if j in later else truth_function(g, backend) for j, g in enumerate(parts)]
+    singles = tuple(j for j in range(len(parts)) if j not in grouped)
+    shared = tuple((fns[js[0]], js, outs, ins) for js, outs, ins in shared)
+    conj, conj_n = backend.conj, backend.conj_n
+    reads = tuple(tops.items())
 
-    def run(env):
-        x = _pick(env.vector(reads[0][0]), reads[0][1], reads[0][0])
-        v = x.value if isinstance(x, Node) else x
-        if type(v) is float or not isinstance(v, np.ndarray):
-            return fold(env)
-        for ref, top in reads[1:]:
-            _pick(env.vector(ref), top, ref)
-        values = [None] * len(fns)
-        for j in singles:
-            values[j] = fns[j](env)
-        for fn, js, outs, ins in shared:
-            tv = fn(
-                Env(
-                    outputs=[stack(env.outputs, idx) for idx in outs],
-                    inputs=[stack(env.inputs, idx) for idx in ins],
-                )
-            )
-            for k, j in enumerate(js):
-                values[j] = column(tv, k)
+    def fold(values):
         acc = values[0]
         for value in values[1:]:
             acc = conj(acc, value)
         return acc
 
+    def on_floats(env):
+        if None in fns:
+            fns[:] = [fn or truth_function(g, backend) for fn, g in zip(fns, parts)]
+        return fold([fn(env) for fn in fns])
+
+    def run(env):
+        if reads:
+            x = _pick(env.vector(reads[0][0]), reads[0][1], reads[0][0])
+            if not _on_batch(x):
+                return on_floats(env)
+            for ref, top in reads[1:]:
+                _pick(env.vector(ref), top, ref)
+        pieces = [(fns[j](env), j) for j in singles]
+        if not reads and not any(_on_batch(v) for v, _ in pieces):
+            return fold([v for v, _ in pieces])
+        for fn, js, outs, ins in shared:
+            stacked = Env(outputs=_stacked(env.outputs, outs), inputs=_stacked(env.inputs, ins))
+            pieces.append((fn(stacked), js))
+        return aggregate(pieces, conj_n)
+
     return run
+
+
+def _on_batch(x) -> bool:
+    v = x.value if isinstance(x, Node) else x
+    return type(v) is not float and isinstance(v, np.ndarray)
+
+
+def _slots(indices):
+    """(position, columns) per slot of a shared template, from each
+    member's entry indices: the first member reads slot i at its own entry
+    indices[0][i], and the stack there holds every member's entry."""
+    return tuple(zip(indices[0], zip(*indices)))
+
+
+def _stacked(vector, slots):
+    """A vector whose entry at each slot's position is the stack of that
+    slot's columns; entries no slot names stay unbound (None)."""
+    if not slots:
+        return ()
+    out = [None] * (max(pos for pos, _ in slots) + 1)
+    for pos, idx in slots:
+        out[pos] = stack(vector, idx)
+    return out
 
 
 def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:

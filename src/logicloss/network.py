@@ -10,8 +10,8 @@ batch axis, so the tape's size does not grow with the batch or the model,
 and its probability-space gradient is chained through the softmax Jacobian
 in one array expression.  Conjuncts of one shape (the csim triples, groups
 of one size) share one copy of their template on the tape, evaluated over
-a (batch, conjuncts) array, so the tape does not grow with the number of
-conjuncts either, beyond one column read and one fold step per conjunct.
+a (batch, conjuncts) array, and the conjunction is one reduction node over
+that axis, so the tape does not grow with the number of conjuncts either.
 
 ``forward_nodes`` runs one sample end to end on a scalar tape instead.  It
 is far too slow to train with and exists so tests can triangulate the

@@ -9,7 +9,7 @@ import numpy as np
 from logicloss.autodiff import (
     DomainError,
     Node,
-    column,
+    aggregate,
     finite_diff,
     grad,
     stack,
@@ -271,20 +271,22 @@ def test_deep_chain_iterative_topo():
     assert g[x] == pytest.approx(0.9999 ** 5000, rel=1e-9)
 
 
-# -- stack and column ----------------------------------------------------
+# -- stack and aggregate -------------------------------------------------
 
 # column 0 fills two slots of the first stack, column 2 one slot of each,
 # column 1 one slot of the first and two of the second
 _SLOTS = ((0, 2, 0, 1), (2, 1, 1, 3))
+_WEIGHTS = np.array([1.0, 2.0, 3.0, 4.0])
+
+
+def _weighted_sum(x):
+    return (x * _WEIGHTS).sum(axis=-1), np.broadcast_to(_WEIGHTS, x.shape)
 
 
 def _through_stack(cols):
     a, b = (stack(cols, idx) for idx in _SLOTS)
     t = a * b + vsqrt(a)
-    out = 0.0
-    for k in range(len(_SLOTS[0])):
-        out = out + (k + 1.0) * column(t, k)
-    return out
+    return aggregate([(t, (0, 1, 2, 3))], _weighted_sum)
 
 
 def _per_column(cols):
@@ -295,7 +297,7 @@ def _per_column(cols):
     return out
 
 
-def test_stack_and_column_match_a_per_column_expression_and_finite_differences():
+def test_stack_and_aggregate_match_a_per_column_expression_and_finite_differences():
     point = np.random.default_rng(4).uniform(0.2, 1.5, size=(4, 3))
     leaves = [var(row) for row in point]
     got = _through_stack(leaves)
@@ -303,7 +305,7 @@ def test_stack_and_column_match_a_per_column_expression_and_finite_differences()
     want_leaves = [var(row) for row in point]
     want = _per_column(want_leaves)
     gw = grad(want, want_leaves)
-    assert np.array_equal(val(got), val(want))
+    np.testing.assert_allclose(val(got), val(want), rtol=1e-15, atol=0.0)
     for lf, wl in zip(leaves, want_leaves):
         np.testing.assert_allclose(g[lf], gw[wl], rtol=1e-15, atol=0.0)
     # rows are independent samples, so each row's partial is that of the row sum
@@ -313,26 +315,52 @@ def test_stack_and_column_match_a_per_column_expression_and_finite_differences()
     np.testing.assert_allclose(np.concatenate([g[lf] for lf in leaves]), fd, rtol=1e-6)
 
 
-def test_a_float_adjoint_reaches_stack_and_column():
+def test_a_float_adjoint_reaches_stack_and_aggregate():
     leaves = [var(np.array([0.1, 0.2])), var(np.array([0.3, 0.4])), var(np.array([0.5, 0.6]))]
     # the stacked node is the root, so its adjoint is the float 1.0
     g = grad(stack(leaves, (0, 0, 1)), leaves)
     assert g[leaves[0]] == 2.0 and g[leaves[1]] == 1.0 and g[leaves[2]] == 0.0
-    # 1 - x hands the float -1.0 down to the column
-    g = grad(1.0 - column(stack(leaves, (2, 0, 2)), 1), leaves)
-    assert np.array_equal(g[leaves[0]], [-1.0, -1.0])
-    assert np.array_equal(np.broadcast_to(g[leaves[2]], (2,)), [0.0, 0.0])
+    # 1 - x hands the float -1.0 down to the aggregate, which spreads it
+    # over the stacked slots
+    g = grad(1.0 - aggregate([(stack(leaves, (2, 0, 2, 0)), (0, 1, 2, 3))], _weighted_sum), leaves)
+    assert np.array_equal(g[leaves[0]], [-6.0, -6.0])
+    assert np.array_equal(g[leaves[2]], [-4.0, -4.0])
+    assert np.array_equal(np.broadcast_to(g[leaves[1]], (2,)), [0.0, 0.0])
 
 
-def test_stack_and_column_without_nodes_return_bare_arrays():
+def test_stack_and_aggregate_without_nodes_return_bare_values():
     cols = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
     s = stack(cols, (1, 0, 1))
     assert type(s) is np.ndarray
     assert np.array_equal(s, [[3.0, 1.0, 3.0], [4.0, 2.0, 4.0]])
-    c = column(s, 1)
-    assert type(c) is np.ndarray and c.flags.c_contiguous
-    assert np.array_equal(c, cols[0])
-    assert column(0.5, 3) == 0.5
+    r = aggregate([(s, (0, 2, 3)), (cols[0], 1)], _weighted_sum)
+    # rows laid out as [3, 1, 1, 3] and [4, 2, 2, 4]
+    assert type(r) is np.ndarray and np.array_equal(r, [20.0, 30.0])
+    # nothing but floats reduces to a float
+    r = aggregate([(0.5, (0, 1)), (2.0, 3), (1.0, 2)], _weighted_sum)
+    assert type(r) is float and r == 0.5 + 1.0 + 3.0 + 8.0
     x = var(np.array([5.0, 6.0]))
     mixed = stack([cols[0], x], (0, 1))
     assert isinstance(mixed, Node) and mixed.parents == (x,)
+
+
+def test_aggregate_lays_pieces_out_in_slot_order():
+    """Blocks, single columns and floats land on their slots, and each
+    piece's gradient is its own slots' partials times the adjoint."""
+    seen = []
+
+    def first_min(x):
+        # min whose partial is one-hot at the first argmin
+        seen.append(x.copy())
+        d = (np.arange(x.shape[-1]) == x.argmin(axis=-1)[..., None]).astype(float)
+        return x.min(axis=-1), d
+
+    block = var(np.array([[0.5, 0.3], [0.2, 0.9]]))  # slots 0 and 2
+    single = var(np.array([0.3, 0.4]))  # slot 1
+    r = aggregate([(single, 1), (block, (0, 2)), (0.8, (3,))], first_min)
+    assert np.array_equal(seen[0], [[0.5, 0.3, 0.3, 0.8], [0.2, 0.4, 0.9, 0.8]])
+    assert np.array_equal(val(r), [0.3, 0.2])
+    g = grad(r * np.array([2.0, 3.0]), [block, single])
+    # row 0 ties slot 1 (the single) with slot 2: the earlier slot wins
+    assert np.array_equal(g[single], [2.0, 0.0])
+    assert np.array_equal(g[block], [[0.0, 0.0], [3.0, 0.0]])

@@ -254,6 +254,28 @@ def test_a_uniform_mask_keeps_the_dead_branch_off_the_tape():
     assert not isinstance(select(mask, 1.0, np.zeros(3)), Node)
 
 
+def test_batch_branches_build_margins_only_while_tracked(monkeypatch):
+    import logicloss.logics as logics
+    from logicloss.autodiff import track_branch_margins
+
+    reported = []
+    monkeypatch.setattr(logics, "report_margin", reported.append)
+    x = np.array([0.2, 0.6, 0.9])
+    y = np.array([0.5, 0.3, 0.9])
+    ops = (logics.i_godel, logics.i_goguen, logics._dl2_eq_indicator)
+    for op in ops:
+        op(x, y)
+    assert reported == []
+    with track_branch_margins():
+        for op in ops:
+            op(x, y)
+    # |x - y| for each op, and i_goguen's divisor on the rows that divide
+    assert len(reported) == 4
+    for margin in (reported[0], reported[1], reported[3]):
+        np.testing.assert_allclose(margin, np.abs(x - y))
+    assert np.array_equal(reported[2], [np.inf, 0.6, np.inf])
+
+
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
 def test_ndarray_op_node_returns_a_node(op):
     a = np.array([1.0, 2.0, 4.0])

@@ -1,17 +1,21 @@
-"""The conjunct axis: conjuncts that share a template run as one array.
+"""The conjunct axis: a conjunction reduces its conjuncts in one node.
 
 On a batch, the compiled loss evaluates each template with two or more
-members once, on a (batch, members) array, and folds every conjunct left in
-its original order.  Every operator is elementwise, so the batch loss must
-equal, bit for bit, the left fold by `backend.conj` of the conjuncts each
-compiled alone; and `_logic_grads` must still match the per-sample scalar
-loop of `test_batched_tape`.
+members once, on a (batch, members) array, lays every conjunct out in its
+original order along a last axis, and reduces that axis with the backend's
+aggregation operator (`LogicBackend.conj_n`).  The batch loss must equal
+the left fold by `backend.conj` of the conjuncts each compiled alone: bit
+for bit where the aggregation runs in the fold's order (product, min, sum),
+to a relative 1e-12 where it sums first (Lukasiewicz, Yager); the gradient
+likewise to 1e-12, with Godel ties on the earliest conjunct.  And
+`_logic_grads` must still match the per-sample scalar loop of
+`test_batched_tape`.
 """
 
 import numpy as np
 import pytest
 
-from logicloss.autodiff import Node, val, var
+from logicloss.autodiff import Node, aggregate, finite_diff, grad, stack, val, var
 from logicloss.constraints import csim_formula, group_formula, synthetic_tables
 from logicloss.formula import (
     And,
@@ -26,7 +30,18 @@ from logicloss.formula import (
     template,
     uses_paired_samples,
 )
-from logicloss.logics import BACKEND_NAMES, ZERO_WHEN_TRUE, loss_function, make_backend, truth_function
+from logicloss.logics import (
+    BACKEND_NAMES,
+    ZERO_WHEN_TRUE,
+    agg_godel,
+    agg_lukasiewicz,
+    agg_product,
+    agg_sum,
+    agg_yager,
+    loss_function,
+    make_backend,
+    truth_function,
+)
 from logicloss.network import _logic_grads
 from test_batched_tape import REL_TOL, _rel_err, _scalar_reference
 
@@ -68,6 +83,11 @@ _FORMULAS = {
         _CTX,
     ),
     "single": parse("out[0] >= out[1]", _CTX),
+    # a single conjunct between the two members of a template; the last
+    # row of the first batch ties it with the second member
+    "tie-across-a-single": parse(
+        "(out[0] <= 0.1) and (out[1] + out[1] <= 0.1) and (out[2] <= 0.1)", _CTX
+    ),
     "with-norm2": parse(
         "(out[0] >= out[1]) and (out[2] >= out[3])"
         " and (norm2(out - out') <= 2 * norm2(in - in')) and (out[4] >= out[5])",
@@ -95,7 +115,10 @@ def _batches():
     probs[4, 0] = 0.3
     X = rng.uniform(-1.0, 1.0, size=(9, N_INPUTS))
     X[5, 2] = 0.0
-    yield probs, X
+    tie = np.full(N_CLASSES, 0.05)
+    tie[1] = 0.35
+    tie[2] = 2.0 * tie[1]
+    yield np.vstack([probs, tie]), np.vstack([X, np.zeros(N_INPUTS)])
     yield rng.dirichlet(np.ones(N_CLASSES), size=4), rng.normal(size=(4, N_INPUTS))
 
 
@@ -117,16 +140,29 @@ def _alone(f, backend, env):
     return truth_function(f, backend)(env)
 
 
+# backends whose aggregation sums first instead of folding in order
+_SUMS_FIRST = {"lk", "tlk", "yg", "tyg"}
+
+
 @pytest.mark.parametrize("backend_name,name", COMBOS)
 def test_batch_loss_is_the_fold_of_conjuncts_compiled_alone(backend_name, name):
     backend, f = _compiled(backend_name, name)
     loss = loss_function(f, backend)
     for probs, X in _batches():
         k, env = _leaf_env(f, probs, X)
-        got = val(loss(env))
+        got = loss(env)
         truth = _alone(f, backend, env)
-        want = val(truth if backend.polarity == ZERO_WHEN_TRUE else 1.0 - truth)
-        assert np.array_equal(np.broadcast_to(got, (k,)), np.broadcast_to(want, (k,))), (got, want)
+        want = truth if backend.polarity == ZERO_WHEN_TRUE else 1.0 - truth
+        gv, wv = (np.broadcast_to(val(v), (k,)) for v in (got, want))
+        if backend_name in _SUMS_FIRST:
+            assert _rel_err(gv, wv) <= REL_TOL, (gv, wv)
+        else:
+            assert np.array_equal(gv, wv), (gv, wv)
+        leaves = [nd for vector in (env.outputs, env.outputs2) for nd in vector]
+        got_g, want_g = grad(got, leaves), grad(want, leaves)
+        for nd in leaves:
+            g, w = (np.broadcast_to(x[nd], (k,)) for x in (got_g, want_g))
+            assert _rel_err(g, w) <= REL_TOL, (g, w)
 
 
 @pytest.mark.parametrize("backend_name,name", COMBOS)
@@ -178,16 +214,17 @@ def test_tape_does_not_grow_with_the_number_of_conjuncts():
         root = loss_function(f, backend)(env)
         assert isinstance(root, Node)
         sizes.append(_tape_size(root))
-    # one column and one t-norm node per added conjunct
-    assert sizes[1] - sizes[0] <= 2 * len(_TABLES.triples), sizes
+    # one template and one aggregation node, however many conjuncts
+    assert sizes[0] == sizes[1], sizes
 
 
 def test_template_renumbers_entries_by_first_appearance():
-    assert template(parse("out[5] >= out[5] * out[2] + in[3]", _CTX)) == (
-        parse("out[0] >= out[0] * out[1] + in[0]", _CTX),
-        (5, 2),
-        (3,),
-    )
+    shape, outs, ins = template(parse("out[5] >= out[5] * out[2] + in[3]", _CTX))
+    assert (outs, ins) == ((5, 2), (3,))
+    assert template(parse("out[0] >= out[0] * out[1] + in[0]", _CTX)) == (shape, (0, 1), (0,))
+    # another pattern of repeated entries, or another constant, is another shape
+    assert template(parse("out[5] >= out[2] * out[2] + in[3]", _CTX))[0] != shape
+    assert template(parse("out[0] <= 0.3", _CTX))[0] != template(parse("out[0] <= 0.4", _CTX))[0]
     a, b = (template(g) for g in conjuncts(_FORMULAS["csim"])[:2])
     assert a[0] == b[0] and hash(a[0]) == hash(b[0]) and a[1] != b[1]
     norm2 = conjuncts(_FORMULAS["with-norm2"])[2]
@@ -201,3 +238,73 @@ def test_conjuncts_follow_the_fold_order():
     assert len(conjuncts(_FORMULAS["csim"])) == len(_TABLES.triples)
     assert len(conjuncts(_FORMULAS["mixed-forall"])) == 5
     assert conjuncts(_FORMULAS["single"]) == (_FORMULAS["single"],)
+
+
+# -- the aggregation operators on their own --------------------------------
+
+# rows: random, an exact zero, ties (the first argmin is slot 1), saturated
+_AXIS_ROWS = np.array(
+    [
+        [0.62, 0.91, 0.37, 0.78],
+        [0.5, 0.0, 0.8, 0.9],
+        [0.7, 0.3, 0.9, 0.3],
+        [1.0, 1.0, 1.0, 1.0],
+        [0.99, 0.97, 1.0, 0.98],
+    ]
+)
+_CONJ_BACKENDS = [("yg-p1", make_backend("yg", yager_p=1.0)), ("yg-p3", make_backend("yg", yager_p=3.0))]
+_CONJ_BACKENDS += [(name, make_backend(name)) for name in BACKEND_NAMES]
+
+
+def _fold_and_reduce(backend, rows):
+    """(fold value, fold partials, n-ary value, n-ary partials) over `rows`,
+    one leaf per slot."""
+    fold_leaves = [var(c) for c in np.ascontiguousarray(rows.T)]
+    acc = fold_leaves[0]
+    for leaf in fold_leaves[1:]:
+        acc = backend.conj(acc, leaf)
+    n_leaves = [var(c) for c in np.ascontiguousarray(rows.T)]
+    n = len(n_leaves)
+    red = aggregate([(stack(n_leaves, range(n)), tuple(range(n)))], backend.conj_n)
+    partials = []
+    for root, leaves in ((acc, fold_leaves), (red, n_leaves)):
+        g = grad(root, leaves)
+        partials.append(np.stack([np.broadcast_to(g[lf], (len(rows),)) for lf in leaves], axis=-1))
+    return val(acc), partials[0], val(red), partials[1]
+
+
+@pytest.mark.parametrize("label,backend", _CONJ_BACKENDS, ids=[b for b, _ in _CONJ_BACKENDS])
+def test_each_aggregation_matches_the_fold_of_its_conj(label, backend):
+    for rows in (_AXIS_ROWS, _AXIS_ROWS[:, :2], _AXIS_ROWS[[0, 4], :1]):
+        fold_v, fold_d, red_v, red_d = _fold_and_reduce(backend, rows)
+        if label.split("-")[0] in _SUMS_FIRST:
+            np.testing.assert_allclose(red_v, fold_v, rtol=REL_TOL, atol=1e-15)
+        else:
+            assert np.array_equal(red_v, fold_v), (red_v, fold_v)
+        np.testing.assert_allclose(red_d, fold_d, rtol=REL_TOL, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [agg_product, agg_godel, agg_lukasiewicz, agg_sum, agg_yager, *(lambda x, p=p: agg_yager(x, p) for p in (1.0, 3.0))],
+    ids=["product", "godel", "lukasiewicz", "sum", "yager", "yager-p1", "yager-p3"],
+)
+def test_each_aggregation_matches_central_finite_differences(rule):
+    # rows off every kink: no ties, and Lukasiewicz/Yager live on the last
+    rows = _AXIS_ROWS[[0, 1, 4]]
+    _, d = rule(rows)
+    fd = finite_diff(lambda p: float(np.sum(rule(np.reshape(p, rows.shape))[0])), rows.ravel(), h=1e-7)
+    np.testing.assert_allclose(d.ravel(), fd, rtol=1e-6, atol=1e-8)
+    assert rule(rows[:, :1])[0] == pytest.approx(rows[:, 0], rel=1e-12)
+
+
+def test_godel_ties_go_to_the_earliest_conjunct_in_the_original_order():
+    """A single conjunct between two members of a template takes the
+    gradient when it ties the later member: folding the template first and
+    the single after it would send it to the member instead."""
+    backend, f = _compiled("godel", "tie-across-a-single")
+    probs, X = next(_batches())
+    k, env = _leaf_env(f, probs, X)
+    g = grad(loss_function(f, backend)(env), env.outputs)
+    assert g[env.outputs[1]][-1] != 0.0
+    assert g[env.outputs[2]][-1] == 0.0

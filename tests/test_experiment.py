@@ -144,6 +144,35 @@ def test_run_calls_the_crisp_evaluator_once_per_epoch_and_compiles_once(monkeypa
         assert len(compiles) == 1, name
 
 
+def test_run_scores_each_epoch_from_one_test_set_forward_pass(monkeypatch):
+    """P and C come from the same probabilities, and the crisp evaluator is
+    compiled once per run."""
+    import dataclasses
+
+    import logicloss.experiment as experiment
+
+    forwards, crisp_compiles = [], []
+    real_forward, real_crisp_fn = experiment.forward_batch, experiment.crisp_fn
+
+    def counting_forward(m, X):
+        forwards.append(len(X))
+        return real_forward(m, X)
+
+    def counting_crisp_fn(f):
+        crisp_compiles.append(1)
+        return real_crisp_fn(f)
+
+    monkeypatch.setattr(experiment, "forward_batch", counting_forward)
+    monkeypatch.setattr(experiment, "crisp_fn", counting_crisp_fn)
+    for name in CONSTRAINT_NAMES:
+        forwards.clear()
+        crisp_compiles.clear()
+        cfg = dataclasses.replace(TINY, constraint=name, lam=0.5)
+        run(cfg)
+        assert forwards == [cfg.n_test] * cfg.epochs, name
+        assert len(crisp_compiles) == 1, name
+
+
 def test_run_keeps_the_error_type_and_adds_the_run_context(monkeypatch):
     import logicloss.experiment as experiment
     from logicloss.formula import ParseError
@@ -267,6 +296,21 @@ def test_training_backend_pins_study_operators():
     # dl2 keeps its additive forms everywhere
     dl2 = _training_backend(ExperimentConfig(backend="dl2", constraint="csim"))
     assert dl2.conj(1.0, 2.0) == 3.0
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINT_NAMES)
+@pytest.mark.parametrize("backend", ["dl2", "godel", "lk", "yg", "rc", "tlk"])
+def test_training_backend_aggregates_with_its_own_conj(backend, constraint):
+    """A pinned conjunction brings its aggregation operator along: reducing
+    a row equals folding it with the backend's conj."""
+    b = _training_backend(ExperimentConfig(backend=backend, constraint=constraint))
+    rows = np.random.default_rng(3).uniform(0.6, 1.0, size=(5, 4))
+    rows[1, 2] = rows[1, 0]
+    rows[2] = 1.0
+    acc = rows[:, 0]
+    for k in range(1, rows.shape[1]):
+        acc = b.conj(acc, rows[:, k])
+    np.testing.assert_allclose(b.conj_n(rows)[0], acc, rtol=1e-12, atol=1e-15)
 
 
 def _uniform_model(dims, n_classes):
