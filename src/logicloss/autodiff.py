@@ -411,6 +411,22 @@ def vsigmoid(a):
     return _sigmoid(a)
 
 
+def pow_parts(av, bv):
+    """Value and base partial of av ** bv on arrays, with vpow's base-0
+    conventions and without its domain checks."""
+    av = np.asarray(av, dtype=float)
+    bv = np.asarray(bv, dtype=float)
+    zero = av == 0.0
+    # base-0 rows compute on a stand-in base of 1, then take the conventions
+    base = np.where(zero, 1.0, av)
+    v = base**bv
+    da = bv * base ** (bv - 1.0)
+    if zero.any():
+        v = np.where(zero, np.where(bv == 0.0, 1.0, 0.0), v)
+        da = np.where(zero, np.where(bv == 1.0, 1.0, 0.0), da)
+    return v, da
+
+
 def _pow_batch(av, bv, need_db):
     """Value and partials of av ** bv when either side is an array."""
     av = np.asarray(av, dtype=float)
@@ -422,16 +438,8 @@ def _pow_batch(av, bv, need_db):
         raise DomainError("pow of zero base with negative exponent")
     if _margins is not None:
         report_margin(np.where(bv < 1.0, av, np.inf))
-    # base-0 rows compute on a stand-in base of 1, then take the conventions
-    base = np.where(zero, 1.0, av)
-    v = base**bv
-    da = bv * base ** (bv - 1.0)
-    db = v * np.log(base) if need_db else None
-    if zero.any():
-        v = np.where(zero, np.where(bv == 0.0, 1.0, 0.0), v)
-        da = np.where(zero, np.where(bv == 1.0, 1.0, 0.0), da)
-        if need_db:
-            db = np.where(zero, 0.0, db)
+    v, da = pow_parts(av, bv)
+    db = np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av))) if need_db else None
     return v, da, db
 
 

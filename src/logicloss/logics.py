@@ -21,11 +21,11 @@ the backend's aggregation operator (`LogicBackend.conj_n`, the t-norm's
 n-ary form) reduces in one tape node.  Every operator is elementwise, so
 each conjunct gets the numbers it would get compiled alone, and the tape
 holds one copy of the template and one reduction, however many conjuncts
-there are.  The reduction equals the left fold by the backend's
-conjunction: bit for bit for product, min and sum, which run in the fold's
-order, and to rounding for Lukasiewicz and Yager, which sum first.  On
-floats each conjunct runs its own closure, the fold runs pairwise, and
-numpy is never called.
+there are.  The reduction runs in the fold's order, so it equals the left
+fold by the backend's conjunction bit for bit (Yager steps through the
+conjuncts one at a time, on bare arrays, off the tape).  On floats each
+conjunct runs its own closure, the fold runs pairwise, and numpy is never
+called.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -49,6 +49,7 @@ import numpy as np
 from .autodiff import (
     Node,
     aggregate,
+    pow_parts,
     report_margin,
     select,
     stack,
@@ -126,23 +127,44 @@ def agg_godel(x):
 
 
 def agg_lukasiewicz(x):
-    s = x.sum(axis=-1) - (x.shape[-1] - 1)
-    live = s > 0.0
+    # the fold's steps (acc + x_k) - 1, as one sequential sum of x_0, x_1,
+    # -1, x_2, -1, ..., so each step is the fold's bit for bit; a step at 0
+    # or below pins the fold at 0 from there on (x_k <= 1)
+    n = x.shape[-1]
+    z = np.full(x.shape[:-1] + (2 * n - 1,), -1.0)
+    z[..., 0] = x[..., 0]
+    z[..., 1::2] = x[..., 1:]
+    steps = np.add.accumulate(z, axis=-1)
+    live = (steps[..., 2::2] > 0.0).all(axis=-1)
     d = np.broadcast_to(live[..., None], x.shape).astype(float)
-    return np.where(live, s, 0.0), d
+    return np.where(live, steps[..., -1], 0.0), d
 
 
 def agg_yager(x, p: float = 2.0):
-    u = 1.0 - x
-    total = (u**p).sum(axis=-1)
-    w = total ** (1.0 / p)
-    live = w < 1.0
-    # d w / d total; a zero total has every u at 0, where p u^(p-1) is 0
-    # (p > 1) or 1 (p == 1, where d w / d total is 1 anyway): vpow's base-0
-    # conventions, with a stand-in base that keeps 0 ** negative out
-    dw = np.where(total > 0.0, total, 1.0) ** (1.0 / p - 1.0) / p
-    d = np.where(live, dw, 0.0)[..., None] * (p * u ** (p - 1.0))
-    return np.where(live, 1.0 - w, 0.0), d
+    # the fold, one conjunct at a time, with vpow's values and base-0
+    # partials (`pow_parts`), so each step is the fold's bit for bit; a
+    # step at 0 pins the fold at 0 from there on (1 - 0 to the p is 1, so
+    # w >= 1)
+    cols = np.moveaxis(x, -1, 0)
+    acc = cols[0]
+    to_acc, to_x = [], []  # partials of each step by the fold so far, by its conjunct
+    for xk in cols[1:]:
+        ua, da = pow_parts(1.0 - acc, p)
+        ux, dx = pow_parts(1.0 - xk, p)
+        w, dw = pow_parts(ua + ux, 1.0 / p)
+        s = 1.0 - w
+        live = s > 0.0
+        dw = np.where(live, dw, 0.0)
+        to_acc.append(dw * da)
+        to_x.append(dw * dx)
+        acc = np.where(live, s, 0.0)
+    ones = np.ones(x.shape[:-1] + (1,))
+    if not to_acc:
+        return acc, ones
+    # the partial by conjunct k chains through every later step
+    later = np.multiply.accumulate(np.stack(to_acc, axis=-1)[..., ::-1], axis=-1)[..., ::-1]
+    own = np.stack(to_x, axis=-1)
+    return acc, np.concatenate([later, ones], axis=-1) * np.concatenate([ones, own], axis=-1)
 
 
 def agg_sum(x):

@@ -4,10 +4,9 @@ On a batch, the compiled loss evaluates each template with two or more
 members once, on a (batch, members) array, lays every conjunct out in its
 original order along a last axis, and reduces that axis with the backend's
 aggregation operator (`LogicBackend.conj_n`).  The batch loss must equal
-the left fold by `backend.conj` of the conjuncts each compiled alone: bit
-for bit where the aggregation runs in the fold's order (product, min, sum),
-to a relative 1e-12 where it sums first (Lukasiewicz, Yager); the gradient
-likewise to 1e-12, with Godel ties on the earliest conjunct.  And
+the left fold by `backend.conj` of the conjuncts each compiled alone, bit
+for bit, as every aggregation runs in the fold's order; the gradient to a
+relative 1e-12, with Godel ties on the earliest conjunct.  And
 `_logic_grads` must still match the per-sample scalar loop of
 `test_batched_tape`.
 """
@@ -140,10 +139,6 @@ def _alone(f, backend, env):
     return truth_function(f, backend)(env)
 
 
-# backends whose aggregation sums first instead of folding in order
-_SUMS_FIRST = {"lk", "tlk", "yg", "tyg"}
-
-
 @pytest.mark.parametrize("backend_name,name", COMBOS)
 def test_batch_loss_is_the_fold_of_conjuncts_compiled_alone(backend_name, name):
     backend, f = _compiled(backend_name, name)
@@ -154,10 +149,7 @@ def test_batch_loss_is_the_fold_of_conjuncts_compiled_alone(backend_name, name):
         truth = _alone(f, backend, env)
         want = truth if backend.polarity == ZERO_WHEN_TRUE else 1.0 - truth
         gv, wv = (np.broadcast_to(val(v), (k,)) for v in (got, want))
-        if backend_name in _SUMS_FIRST:
-            assert _rel_err(gv, wv) <= REL_TOL, (gv, wv)
-        else:
-            assert np.array_equal(gv, wv), (gv, wv)
+        assert np.array_equal(gv, wv), (gv, wv)
         leaves = [nd for vector in (env.outputs, env.outputs2) for nd in vector]
         got_g, want_g = grad(got, leaves), grad(want, leaves)
         for nd in leaves:
@@ -277,10 +269,7 @@ def _fold_and_reduce(backend, rows):
 def test_each_aggregation_matches_the_fold_of_its_conj(label, backend):
     for rows in (_AXIS_ROWS, _AXIS_ROWS[:, :2], _AXIS_ROWS[[0, 4], :1]):
         fold_v, fold_d, red_v, red_d = _fold_and_reduce(backend, rows)
-        if label.split("-")[0] in _SUMS_FIRST:
-            np.testing.assert_allclose(red_v, fold_v, rtol=REL_TOL, atol=1e-15)
-        else:
-            assert np.array_equal(red_v, fold_v), (red_v, fold_v)
+        assert np.array_equal(red_v, fold_v), (red_v, fold_v)
         np.testing.assert_allclose(red_d, fold_d, rtol=REL_TOL, atol=1e-15)
 
 
