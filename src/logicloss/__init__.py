@@ -1,6 +1,6 @@
 """Logical constraints as differentiable losses, and a harness to train under them."""
 
-from logicloss.autodiff import DomainError, Node, finite_diff, grad, var
+from logicloss.autodiff import DomainError, Node, grad, var
 from logicloss.constraints import (
     builtin_tables,
     csim_formula,
@@ -11,7 +11,7 @@ from logicloss.constraints import (
     make_parse_context,
     synthetic_tables,
 )
-from logicloss.data import Dataset, gen_synthetic, load_idx, subsample
+from logicloss.data import Dataset, gen_synthetic, load_idx
 from logicloss.experiment import (
     LAMBDA_GRID,
     EpochReport,
@@ -34,11 +34,8 @@ from logicloss.logics import (
 from logicloss.network import (
     Model,
     Optimizer,
-    forward,
     forward_batch,
     init_model,
-    load_checkpoint,
-    save_checkpoint,
     train_step,
 )
 
@@ -57,8 +54,6 @@ __all__ = [
     "builtin_tables",
     "csim_formula",
     "eval_crisp",
-    "finite_diff",
-    "forward",
     "forward_batch",
     "gen_synthetic",
     "grad",
@@ -66,7 +61,6 @@ __all__ = [
     "init_model",
     "lambda_sweep",
     "lipschitz_formula",
-    "load_checkpoint",
     "load_config",
     "load_groups",
     "load_idx",
@@ -78,9 +72,7 @@ __all__ = [
     "push_negations",
     "report_lines",
     "run",
-    "save_checkpoint",
     "select_result",
-    "subsample",
     "synthetic_tables",
     "to_text",
     "train_step",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,12 +49,12 @@ class DomainError(ArithmeticError):
     """An operation left its numeric domain (ln(x<=0), x/0, 0**negative, sqrt(x<0))."""
 
 
-# Optional branch-distance recording.  When a list is installed via
-# track_branch_margins(), every value-level branch decision (max/min/abs,
-# piecewise ops in the logic layer) appends its distance to the branch
-# boundary; a batch appends its smallest row distance.  Gradient-check
-# tests use this to reject sample points that sit too close to a kink for
-# finite differences to be trustworthy.
+# Optional branch-distance recording on the float path.  When a list is
+# installed via track_branch_margins(), every value-level branch decision on
+# floats (max/min/abs, piecewise ops in the logic layer) appends its distance
+# to the branch boundary; a batch records nothing.  Gradient-check tests use
+# this to reject sample points that sit too close to a kink for finite
+# differences to be trustworthy.
 _margins: list[float] | None = None
 
 
@@ -69,21 +69,16 @@ def track_branch_margins():
         _margins = saved
 
 
-def tracking_margins() -> bool:
-    """Whether a `track_branch_margins` block is active, so that a caller
-    can skip building a margin array nobody records."""
-    return _margins is not None
-
-
-def report_margin(d) -> None:
+def report_margin(d: float) -> None:
     if _margins is not None:
-        _margins.append(float(d.min()) if isinstance(d, np.ndarray) else d)
+        _margins.append(d)
 
 
 # The operations below test for a batch as `type(v) is not float and
-# isinstance(v, np.ndarray)`, written out: on the float path that is one
-# identity check, where a helper call or a bare isinstance costs the scalar
-# oracle about four times as much per operation.
+# isinstance(v, np.ndarray)` (or, on a comparison's result, `type(v) is not
+# bool and ...`), written out: on the float path that is one identity check,
+# where a helper call or a bare isinstance costs the scalar oracle about
+# four times as much per operation.
 
 
 def _check_divisor(v) -> None:
@@ -303,13 +298,11 @@ def aggregate(pieces, rule):
 def vmax(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    d = av - bv  # an array iff either side is one
-    if type(d) is not float and isinstance(d, np.ndarray):
-        if _margins is not None:
-            report_margin(np.abs(d))
-        return select(av >= bv, a, b)
-    report_margin(abs(d))
-    if av >= bv:
+    take_a = av >= bv  # an array iff either side is one
+    if type(take_a) is not bool and isinstance(take_a, np.ndarray):
+        return select(take_a, a, b)
+    report_margin(abs(av - bv))
+    if take_a:
         return a
     return b
 
@@ -317,13 +310,11 @@ def vmax(a, b):
 def vmin(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    d = av - bv
-    if type(d) is not float and isinstance(d, np.ndarray):
-        if _margins is not None:
-            report_margin(np.abs(d))
-        return select(av <= bv, a, b)
-    report_margin(abs(d))
-    if av <= bv:
+    take_a = av <= bv
+    if type(take_a) is not bool and isinstance(take_a, np.ndarray):
+        return select(take_a, a, b)
+    report_margin(abs(av - bv))
+    if take_a:
         return a
     return b
 
@@ -332,8 +323,6 @@ def vabs(a):
     if isinstance(a, Node):
         v = a.value
         if type(v) is not float and isinstance(v, np.ndarray):
-            if _margins is not None:
-                report_margin(np.abs(v))
             if (v > 0.0).all():
                 return a
             return Node(np.abs(v), (a,), (np.sign(v),))
@@ -344,7 +333,8 @@ def vabs(a):
             return Node(-v, (a,), (-1.0,))
         return Node(0.0, (a,), (0.0,))
     out = abs(a)  # np.abs on an array
-    report_margin(out)
+    if type(out) is float or not isinstance(out, np.ndarray):
+        report_margin(out)
     return out
 
 
@@ -376,7 +366,6 @@ def vsqrt(a):
     if type(v) is not float and isinstance(v, np.ndarray):
         if (v < 0.0).any():
             raise DomainError(f"sqrt of negative value {v[v < 0.0][0]!r}")
-        report_margin(v)
         s = np.sqrt(v)
         if isinstance(a, Node):
             # 0.5 / inf is the zero partial at v == 0
@@ -436,8 +425,6 @@ def _pow_batch(av, bv, need_db):
     zero = av == 0.0
     if (zero & (bv < 0.0)).any():
         raise DomainError("pow of zero base with negative exponent")
-    if _margins is not None:
-        report_margin(np.where(bv < 1.0, av, np.inf))
     v, da = pow_parts(av, bv)
     db = np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av))) if need_db else None
     return v, da, db
@@ -540,15 +527,3 @@ def grad(root, wrt: Sequence[Node]) -> dict[Node, object]:
 
     return {n: (n.adjoint if n in visited else 0.0) for n in wanted}
 
-
-def finite_diff(f: Callable[[Sequence[float]], float], point: Sequence[float], h: float = 1e-5) -> list[float]:
-    """Central-difference gradient of f at `point`, index-aligned with it."""
-    point = [float(x) for x in point]
-    out = []
-    for i in range(len(point)):
-        hi = list(point)
-        lo = list(point)
-        hi[i] += h
-        lo[i] -= h
-        out.append((f(hi) - f(lo)) / (2.0 * h))
-    return out

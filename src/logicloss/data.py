@@ -140,19 +140,3 @@ def load_idx(images_path, labels_path, split="train"):
     labels = lbl_bytes.astype(int)
     return Dataset(features, labels, int(labels.max()) + 1 if n else 0, split=split)
 
-
-def subsample(d, fraction, seed):
-    """Deterministic stratified subsample; per-class counts use floor."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return Dataset(d.features, d.labels, d.n_classes, split=d.split)
-    rng = np.random.default_rng(seed)
-    keep = []
-    for c in range(d.n_classes):
-        idx = np.flatnonzero(d.labels == c)
-        k = int(fraction * len(idx))
-        if k:
-            keep.append(rng.choice(idx, size=k, replace=False))
-    idx = np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=int)
-    return Dataset(d.features[idx], d.labels[idx], d.n_classes, split=d.split)

@@ -96,6 +96,14 @@ class ExperimentConfig:
                 check()
             except ValueError as exc:
                 raise ValueError(f"{key}={getattr(self, key)!r}: {exc}") from exc
+        # the paired constraint scores consecutive samples two at a time, so a
+        # batch or a synthetic split of one sample leaves it nothing to score
+        if self.constraint == "lipschitz":
+            for key in ("batch_size", "n_train", "n_test") if self.dataset == "synthetic" else ("batch_size",):
+                if getattr(self, key) < 2:
+                    raise ValueError(
+                        f"{key}={getattr(self, key)!r}: constraint 'lipschitz' pairs samples, so it needs at least 2"
+                    )
 
 
 @dataclass
@@ -145,12 +153,15 @@ def load_config(path):
     try:
         return ExperimentConfig(**values)
     except ValueError:
-        # each check reads one key, so a bad key also fails on its own
-        for key, value in values.items():
-            try:
-                ExperimentConfig(**{key: value})
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lines[key]}: {exc}") from exc
+        # a check reads one key, or one key and the constraint and dataset it
+        # is paired with, so a bad key also fails on its own or with those
+        paired_with = {k: values[k] for k in ("constraint", "dataset") if k in values}
+        for context in ({}, paired_with):
+            for key, value in values.items():
+                try:
+                    ExperimentConfig(**{**context, key: value})
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lines[key]}: {exc}") from exc
         raise
 
 
@@ -208,6 +219,13 @@ def _split_idx_dataset(spec, seed):
         cut = int(0.8 * len(idx))
         train_idx.append(idx[:cut])
         test_idx.append(idx[cut:])
+    # a class keeps int(0.8 * count) of its images for training, so a class
+    # of one image has none there; the test split gets one of every class
+    if not sum(len(idx) for idx in train_idx):
+        raise ValueError(
+            f"dataset={spec!r}: the stratified 80/20 split leaves the train split empty; "
+            "some class needs at least 2 images"
+        )
     tr = np.sort(np.concatenate(train_idx))
     te = np.sort(np.concatenate(test_idx))
     return (

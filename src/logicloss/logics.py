@@ -53,7 +53,6 @@ from .autodiff import (
     report_margin,
     select,
     stack,
-    tracking_margins,
     val,
     vabs,
     vmax,
@@ -202,13 +201,11 @@ def n_standard(x):
 
 def i_godel(x, y):
     xv, yv = val(x), val(y)
-    d = xv - yv
-    if type(d) is not float and isinstance(d, np.ndarray):
-        if tracking_margins():
-            report_margin(np.abs(d))
-        return select(xv <= yv, 1.0, y)
-    report_margin(abs(d))
-    if xv <= yv:
+    le = xv <= yv  # an array iff either side is one
+    if type(le) is not bool and isinstance(le, np.ndarray):
+        return select(le, 1.0, y)
+    report_margin(abs(xv - yv))
+    if le:
         return 1.0
     return y
 
@@ -228,19 +225,15 @@ def i_yager(x, y):
 
 def i_goguen(x, y):
     xv, yv = val(x), val(y)
-    d = xv - yv
-    if type(d) is not float and isinstance(d, np.ndarray):
-        if tracking_margins():
-            report_margin(np.abs(d))
+    le = xv <= yv
+    if type(le) is not bool and isinstance(le, np.ndarray):
         divide = xv > yv
         if not divide.any():
             return 1.0
-        if tracking_margins():
-            report_margin(np.where(divide, xv, np.inf))
         # rows that return 1 divide by a stand-in 1, so their x may be 0
         return select(divide, y / select(divide, x, 1.0), 1.0)
-    report_margin(abs(d))
-    if xv <= yv:
+    report_margin(abs(xv - yv))
+    if le:
         return 1.0
     report_margin(xv)  # y/x steepens without bound as x -> 0
     return y / x
@@ -331,13 +324,11 @@ def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
 
 def _dl2_eq_indicator(x, y):
     xv, yv = val(x), val(y)
-    d = xv - yv
-    if type(d) is not float and isinstance(d, np.ndarray):
-        if tracking_margins():
-            report_margin(np.abs(d))
-        return np.equal(xv, yv).astype(float)
-    report_margin(abs(d))
-    return 1.0 if xv == yv else 0.0
+    eq = xv == yv
+    if type(eq) is not bool and isinstance(eq, np.ndarray):
+        return eq.astype(float)
+    report_margin(abs(xv - yv))
+    return 1.0 if eq else 0.0
 
 
 def dl2_atom(op: str, x, y, xi: float = 1.0):

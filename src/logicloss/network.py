@@ -12,20 +12,15 @@ in one array expression.  Conjuncts of one shape (the csim triples, groups
 of one size) share one copy of their template on the tape, evaluated over
 a (batch, conjuncts) array, and the conjunction is one reduction node over
 that axis, so the tape does not grow with the number of conjuncts either.
-
-``forward_nodes`` runs one sample end to end on a scalar tape instead.  It
-is far too slow to train with and exists so tests can triangulate the
-vectorized backprop against a second, independent derivative path.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from logicloss.autodiff import Node, grad, var, vexp, vln, vmax
-from logicloss.formula import Env, batch_env, sample_rows, uses_paired_samples
+from logicloss.autodiff import Node, grad, var
+from logicloss.formula import batch_env, sample_rows, uses_paired_samples
 from logicloss.logics import loss_function
 
 
@@ -89,17 +84,6 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def forward(m, x):
-    """Probability vector for one input; raises on dimension mismatch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.layer_sizes[0],):
-        raise ValueError(
-            f"input has shape {x.shape}, model expects ({m.layer_sizes[0]},)"
-        )
-    _, zs = _forward_cache(m, x[None, :])
-    return _softmax(zs[-1])[0]
-
-
 def forward_batch(m, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != m.layer_sizes[0]:
@@ -108,45 +92,6 @@ def forward_batch(m, X):
         )
     _, zs = _forward_cache(m, X)
     return _softmax(zs[-1])
-
-
-def forward_nodes(m, x):
-    """One-sample forward pass entirely on the tape.
-
-    Returns (probability Nodes, weight Nodes, bias Nodes) where the
-    parameter Nodes mirror the model arrays elementwise.
-    """
-    wnodes = [[[var(float(w)) for w in row] for row in W] for W in m.weights]
-    bnodes = [[var(float(b)) for b in bvec] for bvec in m.biases]
-    a = [float(v) for v in x]
-    last = len(wnodes) - 1
-    for k, (W, B) in enumerate(zip(wnodes, bnodes)):
-        z = []
-        for row, b in zip(W, B):
-            acc = b
-            for wij, aj in zip(row, a):
-                acc = acc + wij * aj
-            z.append(acc)
-        a = [vmax(zj, 0.0) for zj in z] if k < last else z
-    mx = z[0]
-    for zj in z[1:]:
-        mx = vmax(mx, zj)
-    es = [vexp(zj - mx) for zj in z]
-    total = es[0]
-    for e in es[1:]:
-        total = total + e
-    probs = [e / total for e in es]
-    return probs, wnodes, bnodes
-
-
-def tape_loss(m, x, y, lam=0.0, backend=None, constraint=None):
-    """Scalar tape of ce + lam*logic for one sample (slow reference path)."""
-    probs, wnodes, bnodes = forward_nodes(m, x)
-    loss = 0.0 - vln(probs[int(y)])
-    if lam > 0.0 and constraint is not None:
-        fn = loss_function(constraint, backend)
-        loss = loss + lam * fn(Env(outputs=probs, inputs=[float(v) for v in x]))
-    return loss, wnodes, bnodes
 
 
 def _logic_grads(fn, paired, probs, X, lam):
@@ -270,33 +215,3 @@ def train_step(m, batch, lam, backend, constraint, opt):
     opt.step(m, gw, gb)
     return ce, logic
 
-
-CHECKPOINT_FORMAT = "logicloss-model-v1"
-
-
-def save_checkpoint(m, path):
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "layer_sizes": list(m.layer_sizes),
-        "weights": [w.tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a model checkpoint: format={payload.get('format')!r}")
-    sizes = tuple(payload["layer_sizes"])
-    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    m = Model(sizes, weights, biases)
-    for (fan_out, fan_in), w, b in zip(
-        zip(sizes[1:], sizes), weights, biases
-    ):
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise ValueError("checkpoint arrays do not match layer sizes")
-    return m

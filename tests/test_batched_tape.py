@@ -254,26 +254,34 @@ def test_a_uniform_mask_keeps_the_dead_branch_off_the_tape():
     assert not isinstance(select(mask, 1.0, np.zeros(3)), Node)
 
 
-def test_batch_branches_build_margins_only_while_tracked(monkeypatch):
-    import logicloss.logics as logics
+def test_margins_are_recorded_on_the_float_path_only():
     from logicloss.autodiff import track_branch_margins
+    from logicloss.logics import _dl2_eq_indicator
 
-    reported = []
-    monkeypatch.setattr(logics, "report_margin", reported.append)
-    x = np.array([0.2, 0.6, 0.9])
-    y = np.array([0.5, 0.3, 0.9])
-    ops = (logics.i_godel, logics.i_goguen, logics._dl2_eq_indicator)
-    for op in ops:
-        op(x, y)
-    assert reported == []
-    with track_branch_margins():
+    ops = (vmax, i_godel, i_goguen, _dl2_eq_indicator)
+    with track_branch_margins() as margins:
         for op in ops:
-            op(x, y)
-    # |x - y| for each op, and i_goguen's divisor on the rows that divide
-    assert len(reported) == 4
-    for margin in (reported[0], reported[1], reported[3]):
-        np.testing.assert_allclose(margin, np.abs(x - y))
-    assert np.array_equal(reported[2], [np.inf, 0.6, np.inf])
+            op(np.array([0.2, 0.6]), np.array([0.5, 0.3]))
+    assert margins == []
+    # a compiled loss still records the float constants it branches on (the
+    # |c| in fuzzy_le's denominator), but nothing of a batch's rows, so two
+    # different batches record the same margins
+    recorded = []
+    for seed, n in ((9, 6), (10, 3)):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(N_CLASSES), size=n)
+        X = rng.normal(size=(n, N_INPUTS))
+        with track_branch_margins() as margins:
+            for backend_name, constraint in COMBOS:
+                fn, paired = _compiled(backend_name, constraint)
+                _logic_grads(fn, paired, probs, X, LAM)
+        recorded.append(margins)
+    assert recorded[0] == recorded[1]
+    # the float path: |x - y| for each op, and i_goguen's divisor x
+    with track_branch_margins() as margins:
+        for op in ops:
+            op(var(0.6), 0.25)
+    assert margins == [pytest.approx(0.35)] * 3 + [0.6, pytest.approx(0.35)]
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])

@@ -14,7 +14,7 @@ relative 1e-12, with Godel ties on the earliest conjunct.  And
 import numpy as np
 import pytest
 
-from logicloss.autodiff import Node, aggregate, finite_diff, grad, stack, val, var
+from logicloss.autodiff import Node, aggregate, grad, stack, val, var
 from logicloss.constraints import csim_formula, group_formula, synthetic_tables
 from logicloss.formula import (
     And,
@@ -42,6 +42,7 @@ from logicloss.logics import (
     truth_function,
 )
 from logicloss.network import _logic_grads
+from oracles import finite_diff
 from test_batched_tape import REL_TOL, _rel_err, _scalar_reference
 
 N_CLASSES = 10

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from logicloss.data import Dataset, IdxFormatError, gen_synthetic, load_idx, subsample
+from logicloss.data import Dataset, IdxFormatError, gen_synthetic, load_idx
 
 
 def test_gen_deterministic():
@@ -129,42 +129,3 @@ def test_idx_count_mismatch(tmp_path):
     with pytest.raises(IdxFormatError, match="2 images but 3 labels"):
         load_idx(img, lbl)
 
-
-def test_subsample_identity():
-    train, _ = gen_synthetic(4, 100, 10, 4, 4, 0.0)
-    s = subsample(train, 1.0, seed=0)
-    assert np.array_equal(s.features, train.features)
-    assert np.array_equal(s.labels, train.labels)
-
-
-def test_subsample_stratified():
-    train, _ = gen_synthetic(5, 1000, 10, 10, 8, 0.0)
-    s = subsample(train, 0.1, seed=1)
-    counts = np.bincount(s.labels, minlength=10)
-    assert list(counts) == [10] * 10
-    assert len(s) == 100
-
-
-def test_subsample_proportions_within_one():
-    train, _ = gen_synthetic(6, 997, 10, 7, 6, 0.0)
-    s = subsample(train, 0.25, seed=2)
-    for c in range(7):
-        exact = 0.25 * int((train.labels == c).sum())
-        got = int((s.labels == c).sum())
-        assert abs(got - exact) <= 1
-
-
-def test_subsample_deterministic():
-    train, _ = gen_synthetic(8, 300, 10, 5, 5, 0.0)
-    a = subsample(train, 0.5, seed=3)
-    b = subsample(train, 0.5, seed=3)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
-
-
-def test_subsample_validation():
-    train, _ = gen_synthetic(0, 30, 10, 3, 4, 0.0)
-    with pytest.raises(ValueError, match="fraction"):
-        subsample(train, 0.0, seed=0)
-    with pytest.raises(ValueError, match="fraction"):
-        subsample(train, 1.5, seed=0)

@@ -1,8 +1,10 @@
 import multiprocessing
+import struct
 
 import numpy as np
 import pytest
 
+from logicloss.cli import main
 from logicloss.constraints import synthetic_tables
 from logicloss.data import gen_synthetic
 from logicloss.experiment import (
@@ -263,6 +265,61 @@ def test_load_config_names_the_file_and_line_of_a_value_that_fails_validation(tm
             load_config(path)
         assert str(info.value).startswith(str(path) + where + message)
         assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("key", ["batch_size", "n_train", "n_test"])
+@pytest.mark.parametrize("lam", [0.0, 0.8])
+def test_paired_constraint_rejects_one_sample_sizes_before_any_data_loads(monkeypatch, key, lam):
+    import logicloss.experiment as experiment
+
+    def no_data(*args):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr(experiment, "gen_synthetic", no_data)
+    with pytest.raises(ValueError, match=f"^{key}=1: constraint 'lipschitz' pairs samples"):
+        run(ExperimentConfig(constraint="lipschitz", lam=lam, **{key: 1}))
+    ExperimentConfig(constraint="csim", **{key: 1})
+    ExperimentConfig(constraint="lipschitz", **{key: 2})
+
+
+def test_paired_constraint_reads_the_split_sizes_of_the_synthetic_dataset_only():
+    ExperimentConfig(constraint="lipschitz", dataset="idx:a,b", n_train=1, n_test=1)
+    with pytest.raises(ValueError, match="^batch_size=1"):
+        ExperimentConfig(constraint="lipschitz", dataset="idx:a,b", batch_size=1)
+
+
+def test_load_config_names_the_line_of_a_size_the_paired_constraint_rejects(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("batch_size = 1\nlambda = 0.5\nconstraint = lipschitz\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}:1: batch_size=1: constraint 'lipschitz' pairs samples")
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def _write_idx(path, dims, payload):
+    header = struct.pack(">HBB", 0, 0x08, len(dims)) + struct.pack(f">{len(dims)}I", *dims)
+    path.write_bytes(header + bytes(payload))
+
+
+def test_an_idx_dataset_with_an_empty_train_split_fails_before_the_model_is_built(tmp_path, monkeypatch):
+    import dataclasses
+
+    import logicloss.experiment as experiment
+
+    def no_model(*args):
+        raise AssertionError("model built for an empty train split")
+
+    monkeypatch.setattr(experiment, "init_model", no_model)
+    img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    # one image per class: the 80/20 split sends every one to the test split
+    _write_idx(img, (3, 2, 2), range(12))
+    _write_idx(lbl, (3,), [0, 1, 2])
+    spec = f"idx:{img},{lbl}"
+    with pytest.raises(ValueError, match="train split empty") as info:
+        run(dataclasses.replace(TINY, dataset=spec, n_classes=3))
+    assert str(info.value).startswith(f"dataset={spec!r}: ")
+    assert main(["train", "--dataset", spec, "--epochs", "1"]) == 1
 
 
 def test_build_constraint_shapes():

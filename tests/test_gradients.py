@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from logicloss.autodiff import finite_diff, grad, track_branch_margins, var
+from logicloss.autodiff import grad, track_branch_margins, var
 from logicloss.constraints import (
     csim_formula,
     group_formula,
@@ -23,6 +23,7 @@ from logicloss.constraints import (
 )
 from logicloss.formula import Env, push_negations
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
+from oracles import finite_diff
 
 N_CLASSES = 10
 N_POINTS = 1000

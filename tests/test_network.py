@@ -11,15 +11,12 @@ from logicloss.network import (
     Model,
     Optimizer,
     TrainingDiverged,
-    forward,
     forward_batch,
     init_model,
-    load_checkpoint,
     loss_gradients,
-    save_checkpoint,
-    tape_loss,
     train_step,
 )
+from oracles import tape_loss
 
 
 def test_param_counts():
@@ -54,7 +51,7 @@ def test_forward_zero_weights_uniform():
     m = init_model([4, 6, 5], seed=0)
     for w in m.weights:
         w[:] = 0.0
-    p = forward(m, [1.0, -2.0, 0.5, 3.0])
+    p = forward_batch(m, np.array([1.0, -2.0, 0.5, 3.0])[None, :])[0]
     assert np.allclose(p, 0.2, atol=1e-15)
 
 
@@ -70,19 +67,9 @@ def test_forward_simplex():
 def test_forward_dimension_mismatch():
     m = init_model([4, 8, 3], seed=1)
     with pytest.raises(ValueError, match="expects"):
-        forward(m, [1.0, 2.0])
+        forward_batch(m, np.array([1.0, 2.0])[None, :])
     with pytest.raises(ValueError, match="expects"):
         forward_batch(m, np.zeros((5, 3)))
-
-
-def test_forward_single_matches_batch_row():
-    m = init_model([3, 7, 4], seed=5)
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(6, 3))
-    P = forward_batch(m, X)
-    for i in range(6):
-        # single-row and batched matmuls may take different BLAS paths
-        assert np.allclose(forward(m, X[i]), P[i], rtol=1e-9, atol=1e-12)
 
 
 def test_hidden_unit_permutation_symmetry():
@@ -90,11 +77,11 @@ def test_hidden_unit_permutation_symmetry():
     # columns is a reparameterization; the function is unchanged.
     m = init_model([3, 6, 4], seed=9)
     x = np.array([0.3, -1.2, 0.8])
-    before = forward(m, x)
+    before = forward_batch(m, x[None, :])[0]
     for arr in (m.weights[0], m.biases[0]):
         arr[[1, 4]] = arr[[4, 1]]
     m.weights[1][:, [1, 4]] = m.weights[1][:, [4, 1]]
-    assert np.allclose(forward(m, x), before, atol=1e-15)
+    assert np.allclose(forward_batch(m, x[None, :])[0], before, atol=1e-15)
 
 
 def _fd_full_gradient(value, m, h=1e-5):
@@ -323,19 +310,3 @@ def test_nan_aborts_with_diagnostics():
     with pytest.raises(TrainingDiverged, match="ce="):
         loss_gradients(m, np.ones((2, 2)), np.array([0, 1]))
 
-
-def test_checkpoint_round_trip(tmp_path):
-    m = init_model([3, 5, 4], seed=17)
-    path = tmp_path / "model.json"
-    save_checkpoint(m, path)
-    back = load_checkpoint(path)
-    assert back.layer_sizes == m.layer_sizes
-    for wa, wb in zip(m.weights + m.biases, back.weights + back.biases):
-        assert np.array_equal(wa, wb)
-
-
-def test_checkpoint_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="not a model checkpoint"):
-        load_checkpoint(path)
