@@ -1,5 +1,4 @@
 import multiprocessing
-import struct
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from logicloss.experiment import (
 )
 from logicloss.formula import BigAnd, Cmp, Const, Output, parse
 from logicloss.network import Model, TrainingDiverged, init_model
+from test_data import _write_idx
 
 TINY = ExperimentConfig(
     backend="rc",
@@ -295,11 +295,6 @@ def test_load_config_names_the_line_of_a_size_the_paired_constraint_rejects(tmp_
         load_config(path)
     assert str(info.value).startswith(f"{path}:1: batch_size=1: constraint 'lipschitz' pairs samples")
     assert isinstance(info.value.__cause__, ValueError)
-
-
-def _write_idx(path, dims, payload):
-    header = struct.pack(">HBB", 0, 0x08, len(dims)) + struct.pack(f">{len(dims)}I", *dims)
-    path.write_bytes(header + bytes(payload))
 
 
 def test_an_idx_dataset_with_an_empty_train_split_fails_before_the_model_is_built(tmp_path, monkeypatch):
