@@ -135,8 +135,8 @@ def load_idx(images_path, labels_path, split="train"):
         raise IdxFormatError(
             f"{img_dims[0]} images but {lbl_dims[0]} labels"
         )
-    n = img_dims[0]
-    features = img_bytes.reshape(n, -1).astype(float) / 255.0
+    n, rows, cols = img_dims
+    features = img_bytes.reshape(n, rows * cols).astype(float) / 255.0
     labels = lbl_bytes.astype(int)
     return Dataset(features, labels, int(labels.max()) + 1 if n else 0, split=split)
 

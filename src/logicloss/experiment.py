@@ -388,14 +388,9 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     if jobs == 1:
         results = [_sweep_point(w) for w in work]
     else:
+        # a worker's exception, notes included, reaches the caller as itself
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_point, w) for w in work]
-            results = []
-            for lam, fut in zip(grid, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(f"sweep failed at lambda={lam}: {exc}") from exc
+            results = list(pool.map(_sweep_point, work))
 
     rows = []
     best_lam = None

@@ -3,12 +3,18 @@
 The training loss is ``ce + lam * logic`` where ``ce`` is mean
 cross-entropy and ``logic`` is the mean compiled constraint loss over the
 batch (over consecutive sample pairs for constraints that relate two
-samples).  Cross-entropy gradients are computed in closed form.  The
-constraint term is differentiated on the tape once per batch: each of the
-10-or-so probability outputs is one leaf whose value is an array over the
-batch axis, so the tape's size does not grow with the batch or the model,
-and its probability-space gradient is chained through the softmax Jacobian
-in one array expression.  Conjuncts of one shape (the csim triples, groups
+samples).  Cross-entropy gradients are computed in closed form, from one
+softmax pass: one shift, exp and row sum give the probabilities, the
+cross-entropy (the shifted logit at each target minus the log row sum)
+and its gradient (the probabilities, less 1 at each target, over the
+batch size).  The forward pass keeps each hidden layer's ``z >= 0`` mask
+for backprop in place of its pre-activation, and adds biases, applies
+ReLU and masks deltas in place.  The constraint term is differentiated
+on the tape once per batch: each of the 10-or-so probability outputs is
+one leaf whose value is an array over the batch axis, so the tape's size
+does not grow with the batch or the model, and its probability-space
+gradient is chained through the softmax Jacobian in one array
+expression.  Conjuncts of one shape (the csim triples, groups
 of one size) share one copy of their template on the tape, evaluated over
 a (batch, conjuncts) array, and the conjunction is one reduction node over
 that axis, so the tape does not grow with the number of conjuncts either.
@@ -60,28 +66,39 @@ def init_model(layer_sizes, seed):
 
 
 def _forward_cache(m, X):
-    # acts[k] is the input to layer k; zs[k] its pre-activation.
+    """Forward pass with what backprop reads: acts[k] is the input to layer
+    k and acts[-1] the logits; masks[k] is hidden layer k's `z >= 0`.
+
+    Each layer's output is one new array, written in place: the bias add,
+    then ReLU after its mask is taken.
+    """
     acts = [X]
-    zs = []
-    a = X
+    masks = []
     last = len(m.weights) - 1
     for k, (W, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ W.T + b
-        zs.append(z)
-        a = np.maximum(z, 0.0) if k < last else z
-        acts.append(a)
-    return acts, zs
+        z = acts[-1] @ W.T
+        z += b
+        if k < last:
+            masks.append(z >= 0.0)
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts, masks
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z, y=None):
+    """Overwrite logits `z` with their row softmax.
 
-
-def _log_softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    With targets `y`, also return each row's log-softmax at its target,
+    from the same shift, exp and row sum.
+    """
+    z -= z.max(axis=-1, keepdims=True)
+    log_p = None if y is None else z[np.arange(len(z)), y]
+    np.exp(z, out=z)
+    s = z.sum(axis=-1, keepdims=True)
+    z /= s
+    if y is not None:
+        log_p -= np.log(s[:, 0])
+    return log_p
 
 
 def forward_batch(m, X):
@@ -90,8 +107,9 @@ def forward_batch(m, X):
         raise ValueError(
             f"batch has shape {X.shape}, model expects (n, {m.layer_sizes[0]})"
         )
-    _, zs = _forward_cache(m, X)
-    return _softmax(zs[-1])
+    probs = _forward_cache(m, X)[0][-1]
+    _softmax(probs)
+    return probs
 
 
 def _logic_grads(fn, paired, probs, X, lam):
@@ -118,7 +136,8 @@ def _logic_grads(fn, paired, probs, X, lam):
                 gp[:, j] = g[nd]
             p = probs[r]
             d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
-    return total / k, (lam / k) * d_logits
+    d_logits *= lam / k
+    return total / k, d_logits
 
 
 @dataclass(frozen=True)
@@ -143,24 +162,26 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n = X.shape[0]
-    acts, zs = _forward_cache(m, X)
-    logits = zs[-1]
-    probs = _softmax(logits)
-    ce = float(-_log_softmax(logits)[np.arange(n), y].mean())
-
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), y] = 1.0
-    d_logits = (probs - onehot) / n
+    acts, masks = _forward_cache(m, X)
+    probs = acts.pop()
+    ce = float(-_softmax(probs, y).mean())
 
     logic = 0.0
+    d_logic = None
     if lam > 0.0 and constraint is not None:
         if not isinstance(constraint, CompiledConstraint):
             constraint = compile_constraint(constraint, backend)
-        logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
-        d_logits = d_logits + d_extra
+        logic, d_logic = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
 
     if not np.isfinite(ce) or not np.isfinite(logic):
         raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
+
+    # probs, read for the last time above, becomes (probs - onehot(y)) / n
+    d_logits = probs
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    if d_logic is not None:
+        d_logits += d_logic
 
     grads_w = [None] * len(m.weights)
     grads_b = [None] * len(m.biases)
@@ -170,7 +191,8 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
         grads_b[k] = delta.sum(axis=0)
         if k > 0:
             # relu'(0) := 1, matching the tape's tie convention in vmax
-            delta = (delta @ m.weights[k]) * (zs[k - 1] >= 0.0)
+            delta = delta @ m.weights[k]
+            delta *= masks[k - 1]
     return ce, logic, grads_w, grads_b
 
 

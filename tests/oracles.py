@@ -5,13 +5,20 @@ in test_autodiff.py.  `forward_nodes` and `tape_loss` run one sample
 through the whole network on the scalar tape, one node per weight, so the
 closed-form batched backprop in `network.loss_gradients` has a second,
 independent derivative path.  Both are far too slow to train with.
+`dense_forward_batch` and `dense_loss_gradients` are the dense path as it
+was first written, with separate softmax and log-softmax passes, a one-hot
+CE gradient and the pre-activations kept for the ReLU mask; the library's
+single-pass, in-place version must equal them bit for bit.
 """
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from logicloss.autodiff import var, vexp, vln, vmax
 from logicloss.formula import Env
 from logicloss.logics import loss_function
+from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
 
 
 def finite_diff(f: Callable[[Sequence[float]], float], point: Sequence[float], h: float = 1e-5) -> list[float]:
@@ -65,3 +72,68 @@ def tape_loss(m, x, y, lam=0.0, backend=None, constraint=None):
         loss = loss + lam * fn(Env(outputs=probs, inputs=[float(v) for v in x]))
     return loss, wnodes, bnodes
 
+
+
+def _dense_forward(m, X):
+    # acts[k] is the input to layer k; zs[k] its pre-activation.
+    acts = [X]
+    zs = []
+    a = X
+    last = len(m.weights) - 1
+    for k, (W, b) in enumerate(zip(m.weights, m.biases)):
+        z = a @ W.T + b
+        zs.append(z)
+        a = np.maximum(z, 0.0) if k < last else z
+        acts.append(a)
+    return acts, zs
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def dense_forward_batch(m, X):
+    _, zs = _dense_forward(m, np.asarray(X, dtype=float))
+    return _softmax(zs[-1])
+
+
+def dense_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
+    """`network.loss_gradients`, unfused; the logic term is the library's."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    acts, zs = _dense_forward(m, X)
+    logits = zs[-1]
+    probs = _softmax(logits)
+    ce = float(-_log_softmax(logits)[np.arange(n), y].mean())
+
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), y] = 1.0
+    d_logits = (probs - onehot) / n
+
+    logic = 0.0
+    if lam > 0.0 and constraint is not None:
+        if not isinstance(constraint, CompiledConstraint):
+            constraint = compile_constraint(constraint, backend)
+        logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
+        d_logits = d_logits + d_extra
+
+    if not np.isfinite(ce) or not np.isfinite(logic):
+        raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
+
+    grads_w = [None] * len(m.weights)
+    grads_b = [None] * len(m.biases)
+    delta = d_logits
+    for k in reversed(range(len(m.weights))):
+        grads_w[k] = delta.T @ acts[k]
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ m.weights[k]) * (zs[k - 1] >= 0.0)
+    return ce, logic, grads_w, grads_b

@@ -129,3 +129,13 @@ def test_idx_count_mismatch(tmp_path):
     with pytest.raises(IdxFormatError, match="2 images but 3 labels"):
         load_idx(img, lbl)
 
+
+
+def test_idx_pair_of_zero_images(tmp_path):
+    img = tmp_path / "img.idx"
+    _write_idx(img, (0, 28, 28), [])
+    lbl = tmp_path / "lbl.idx"
+    _write_idx(lbl, (0,), [])
+    d = load_idx(img, lbl)
+    assert d.features.shape == (0, 784)
+    assert len(d) == 0 and d.n_classes == 0

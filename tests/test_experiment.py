@@ -317,6 +317,21 @@ def test_an_idx_dataset_with_an_empty_train_split_fails_before_the_model_is_buil
     assert main(["train", "--dataset", spec, "--epochs", "1"]) == 1
 
 
+def test_an_idx_dataset_of_zero_images_reports_its_empty_train_split(tmp_path, capsys):
+    import dataclasses
+
+    img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    _write_idx(img, (0, 2, 2), [])
+    _write_idx(lbl, (0,), [])
+    spec = f"idx:{img},{lbl}"
+    with pytest.raises(ValueError, match="train split empty") as info:
+        run(dataclasses.replace(TINY, dataset=spec, n_classes=3))
+    assert str(info.value).startswith(f"dataset={spec!r}: ")
+    capsys.readouterr()
+    assert main(["train", "--dataset", spec, "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: dataset={spec!r}: ")
+
+
 def test_build_constraint_shapes():
     tables = synthetic_tables(5)
     csim = build_constraint(ExperimentConfig(constraint="csim", n_classes=5), tables)
@@ -534,14 +549,25 @@ def test_lambda_sweep_worker_parse_error_reaches_the_parent(monkeypatch):
 
     monkeypatch.setattr(experiment, "train_step", failing_step)
     cfg = dataclasses.replace(TINY, epochs=1, n_train=40, n_test=20)
-    with pytest.raises(RuntimeError, match="sweep failed at lambda=0.0") as info:
+    with pytest.raises(UnknownIdentifier) as info:
         lambda_sweep(cfg, grid=[0.0, 0.4], jobs=2)
-    cause = info.value.__cause__
-    assert type(cause) is UnknownIdentifier and (cause.message, cause.pos) == (
-        "unknown identifier 'foo'",
-        7,
-    )
-    assert cause.__notes__ == ["backend=rc lambda=0.0 epoch=1"]
+    assert (info.value.message, info.value.pos) == ("unknown identifier 'foo'", 7)
+    assert info.value.__notes__ == ["backend=rc lambda=0.0 epoch=1"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lambda_sweep_raises_a_failed_point_s_own_exception(jobs, tmp_path, capsys):
+    import dataclasses
+
+    spec = f"idx:{tmp_path / 'a'},{tmp_path / 'b'}"
+    cfg = dataclasses.replace(TINY, dataset=spec)
+    with pytest.raises(FileNotFoundError):
+        lambda_sweep(cfg, grid=[0.0, 1.0], jobs=jobs)
+    capsys.readouterr()
+    argv = ["sweep", "--dataset", spec, "--sweep", "0,1", "--jobs", str(jobs)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fmt_is_plain_decimal():

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from logicloss.autodiff import grad, track_branch_margins, var
-from logicloss.constraints import csim_formula, synthetic_tables
+from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
 from logicloss.formula import Cmp, Const, Env, Output, push_negations
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
 from logicloss.network import (
     Model,
     Optimizer,
     TrainingDiverged,
+    compile_constraint,
     forward_batch,
     init_model,
     loss_gradients,
     train_step,
 )
-from oracles import tape_loss
+from oracles import dense_forward_batch, dense_loss_gradients, tape_loss
 
 
 def test_param_counts():
@@ -195,6 +196,45 @@ def _clone(m):
         [w.copy() for w in m.weights],
         [b.copy() for b in m.biases],
     )
+
+
+def _dense_terms():
+    # each has a nonzero loss on the batches below (lipschitz from 7 rows on)
+    tables = synthetic_tables(10)
+    return [
+        compile_constraint(csim_formula(tables.triples, 10), make_backend("rc")),
+        compile_constraint(group_formula(tables.groups, eps=0.05), make_backend("godel")),
+        compile_constraint(
+            push_negations(lipschitz_formula(0.001), rewrite_implication=True), make_backend("dl2")
+        ),
+    ]
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_dense_path_equals_the_unfused_oracle_bit_for_bit(n, tie):
+    m = init_model([12, 16, 9, 10], seed=31)
+    if tie:
+        # a hidden unit whose pre-activation is exactly 0 on every row, in
+        # each hidden layer; relu'(0) := 1 passes the gradient through it
+        for W, b, unit in zip(m.weights, m.biases, (3, 5)):
+            W[unit] = 0.0
+            b[unit] = 0.0
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 12)) * 2.0
+    y = rng.integers(0, 10, size=n)
+    inputs = [X, y, *m.weights, *m.biases]
+    before = [a.copy() for a in inputs]
+
+    assert np.array_equal(forward_batch(m, X), dense_forward_batch(m, X))
+    for lam, term in [(0.0, None)] + [(0.8, t) for t in _dense_terms()]:
+        ce, logic, gw, gb = loss_gradients(m, X, y, lam, None, term)
+        ref_ce, ref_logic, ref_gw, ref_gb = dense_loss_gradients(m, X, y, lam, None, term)
+        assert ce == ref_ce and logic == ref_logic
+        assert all(np.array_equal(g, r) for g, r in zip(gw + gb, ref_gw + ref_gb))
+        if tie:
+            assert np.any(gw[0][3] != 0.0) and np.any(gw[1][5] != 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 def test_lambda_zero_update_equals_pure_ce():
