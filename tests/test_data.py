@@ -130,7 +130,6 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(img, lbl)
 
 
-
 def test_idx_pair_of_zero_images(tmp_path):
     img = tmp_path / "img.idx"
     _write_idx(img, (0, 28, 28), [])
