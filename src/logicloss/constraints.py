@@ -19,11 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (
-    And,
-    BigAnd,
     Cmp,
     Const,
-    GroupSum,
     Implies,
     Mul,
     Norm2Diff,
@@ -31,6 +28,8 @@ from .formula import (
     Output,
     ParseContext,
     Sub,
+    Sum,
+    conjoin,
 )
 
 
@@ -95,10 +94,7 @@ def csim_formula(triples, n_classes: int):
                 Cmp(">=", Output(t.l2), Output(t.l3)),
             )
         )
-    f = conjuncts[0]
-    for c in conjuncts[1:]:
-        f = And(f, c)
-    return f
+    return conjoin(conjuncts)
 
 
 def check_group_eps(eps):
@@ -112,11 +108,16 @@ def group_formula(groups, eps: float = 0.05):
         raise ValueError("no class groups given")
     check_group_eps(eps)
     _check_disjoint(groups)
-    body = Or(
-        Cmp("<=", GroupSum("g"), Const(eps)),
-        Cmp(">=", GroupSum("g"), Sub(Const(1.0), Const(eps))),
-    )
-    return BigAnd("g", "Groups", tuple(tuple(g.members) for g in groups), body)
+    parts = []
+    for g in groups:
+        mass = Sum(tuple(Output(i) for i in g.members))
+        parts.append(
+            Or(
+                Cmp("<=", mass, Const(eps)),
+                Cmp(">=", mass, Sub(Const(1.0), Const(eps))),
+            )
+        )
+    return conjoin(parts)
 
 
 def lipschitz_formula(l: float):

@@ -207,12 +207,14 @@ def _training_backend(cfg):
     return backend
 
 
-def _split_idx_dataset(spec, seed):
+def _split_idx_dataset(spec):
     paths = spec.split(":", 1)[1].split(",")
     if len(paths) != 2:
         raise ValueError("idx dataset spec must be idx:<images>,<labels>")
     full = load_idx(paths[0].strip(), paths[1].strip())
-    # deterministic stratified 80/20 split, disjoint by construction
+    # stratified 80/20 split, disjoint by construction: each class's first
+    # 80% of images train and the rest test; nothing is shuffled, so the
+    # split is deterministic by file order
     train_idx, test_idx = [], []
     for c in range(full.n_classes):
         idx = np.flatnonzero(full.labels == c)
@@ -240,7 +242,7 @@ def _load_data(cfg):
             cfg.seed, cfg.n_train, cfg.n_test, cfg.n_classes, cfg.dims, cfg.noise_frac
         )
     if cfg.dataset.startswith("idx:"):
-        return _split_idx_dataset(cfg.dataset, cfg.seed)
+        return _split_idx_dataset(cfg.dataset)
     raise ValueError(f"unknown dataset {cfg.dataset!r}; valid: synthetic, idx:<img>,<lbl>")
 
 

@@ -18,13 +18,17 @@ Grammar (keywords lowercase, indexing zero-based):
     idx     := INT | IDENT
 
 A bare IDENT factor must name a constant from the parse context; an IDENT
-index must be bound by an enclosing forall.  "forall v in S" draws its
-bindings from the context's binding sets and stores them on the node, so a
-parsed formula is self-contained afterwards.
+index must be bound by an enclosing forall.  "forall v in S: body" expands
+when it is parsed: the body is read once per binding of the context's set
+S, with v standing for that binding (a class index, or a group of them
+under "sum(out[v])"), and the instances are joined by `conjoin` into one
+left-nested And.  No node of a parsed formula names a variable, so
+`to_text` prints a forall as its expansion.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -51,19 +55,19 @@ class Const:
 
 @dataclass(frozen=True, slots=True)
 class Input:
-    index: int | str  # str: variable bound by an enclosing forall
+    index: int
 
     def __post_init__(self):
-        if isinstance(self.index, int) and self.index < 0:
+        if operator.index(self.index) < 0:
             raise ValueError("input index must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
 class Output:
-    index: int | str
+    index: int
 
     def __post_init__(self):
-        if isinstance(self.index, int) and self.index < 0:
+        if operator.index(self.index) < 0:
             raise ValueError("output index must be non-negative")
 
 
@@ -95,13 +99,6 @@ class Sum:
 
 
 @dataclass(frozen=True, slots=True)
-class GroupSum:
-    """Sum of outputs over an index set bound by an enclosing forall."""
-
-    var: str
-
-
-@dataclass(frozen=True, slots=True)
 class Norm2Diff:
     """Euclidean norm of the elementwise difference of two bound vectors."""
 
@@ -114,7 +111,7 @@ class Norm2Diff:
                 raise ValueError(f"unknown vector reference {ref!r}")
 
 
-Expr = Union[Const, Input, Output, Add, Sub, Mul, Sum, GroupSum, Norm2Diff]
+Expr = Union[Const, Input, Output, Add, Sub, Mul, Sum, Norm2Diff]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,21 +148,12 @@ class Implies:
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class BigAnd:
-    """Finite conjunction over a named binding set, resolved at parse time."""
-
-    var: str
-    set_name: str
-    bindings: tuple
-    body: "Formula"
-
-    def __post_init__(self):
-        if not self.bindings:
-            raise ValueError("empty binding set")
+Formula = Union[Cmp, And, Or, Not, Implies]
 
 
-Formula = Union[Cmp, And, Or, Not, Implies, BigAnd]
+def conjoin(parts: Sequence[Formula]) -> Formula:
+    """The left-nested And of `parts` in order: ((p0 and p1) and p2) ..."""
+    return functools.reduce(And, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +281,7 @@ class _Parser:
         self.toks = toks
         self.ctx = ctx
         self.i = 0
-        self.scope: dict[str, str] = {}  # bound var -> 'scalar' | 'group'
+        self.scope: dict[str, Binding] = {}  # forall variable -> its current binding
         self.best: tuple = (-1, "syntax error", ParseError)
 
     # -- machinery
@@ -346,17 +334,15 @@ class _Parser:
             self.fail(f"unknown binding set {set_name!r}", set_pos, UnknownIdentifier)
         norm = self._normalize_bindings(bindings, set_pos)
         self.expect("op", ":")
-        kind = "group" if isinstance(norm[0], tuple) else "scalar"
-        saved = self.scope.get(var)
-        self.scope[var] = kind
+        start, outer, parts = self.i, self.scope, []
         try:
-            body = self.formula()
+            for b in norm:
+                self.i = start
+                self.scope = {**outer, var: b}
+                parts.append(self.formula())
         finally:
-            if saved is None:
-                del self.scope[var]
-            else:
-                self.scope[var] = saved
-        return BigAnd(var, set_name, norm, body)
+            self.scope = outer
+        return conjoin(parts)
 
     def _normalize_bindings(self, bindings, pos):
         if not bindings:
@@ -493,12 +479,11 @@ class _Parser:
                 self._check_class_index(idx, pos)
         elif k == "ident":
             self.next()
-            kind = self.scope.get(t)
-            if kind is None:
+            if t not in self.scope:
                 self.fail(f"unknown identifier {t!r}", pos, UnknownIdentifier)
-            if kind != "scalar":
+            idx = self.scope[t]
+            if isinstance(idx, tuple):
                 self.fail(f"{t!r} is bound to an index group, not a single index", pos)
-            idx = t
         else:
             self.fail("expected an index")
         self.expect("op", "]")
@@ -513,12 +498,12 @@ class _Parser:
             if self.accept("op", "["):
                 k, t, pos = self.peek()
                 if k == "ident":
-                    kind = self.scope.get(t)
-                    if kind == "group":
+                    members = self.scope.get(t)
+                    if isinstance(members, tuple):
                         self.next()
                         self.expect("op", "]")
-                        return GroupSum(t)
-                    if kind is None and t in self.ctx.index_groups:
+                        return Sum(tuple(Output(i) for i in members))
+                    if t not in self.scope and t in self.ctx.index_groups:
                         self.next()
                         self.expect("op", "]")
                         members = self.ctx.index_groups[t]
@@ -572,8 +557,6 @@ def expr_text(e: Expr) -> str:
         return f"({expr_text(e.left)} * {expr_text(e.right)})"
     if isinstance(e, Sum):
         return f"sum({', '.join(expr_text(x) for x in e.items)})"
-    if isinstance(e, GroupSum):
-        return f"sum(out[{e.var}])"
     if isinstance(e, Norm2Diff):
         return f"norm2({e.left} - {e.right})"
     raise TypeError(f"not an expression: {e!r}")
@@ -590,64 +573,7 @@ def to_text(f: Formula) -> str:
         return f"({to_text(f.left)} -> {to_text(f.right)})"
     if isinstance(f, Not):
         return f"(not {to_text(f.body)})"
-    if isinstance(f, BigAnd):
-        return f"(forall {f.var} in {f.set_name}: {to_text(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution and quantifier expansion
-
-
-def substitute(f: Formula, var: str, binding: Binding) -> Formula:
-    """Replace occurrences of a bound variable with a concrete binding."""
-
-    def sub_expr(e):
-        if isinstance(e, Output) and e.index == var:
-            if isinstance(binding, tuple):
-                raise ValueError(f"{var!r} is bound to a group but used as a single index")
-            return Output(binding)
-        if isinstance(e, Input) and e.index == var:
-            if isinstance(binding, tuple):
-                raise ValueError(f"{var!r} is bound to a group but used as a single index")
-            return Input(binding)
-        if isinstance(e, GroupSum) and e.var == var:
-            if not isinstance(binding, tuple):
-                raise ValueError(f"{var!r} is bound to a single index but used as a group")
-            return Sum(tuple(Output(i) for i in binding))
-        if isinstance(e, Add):
-            return Add(sub_expr(e.left), sub_expr(e.right))
-        if isinstance(e, Sub):
-            return Sub(sub_expr(e.left), sub_expr(e.right))
-        if isinstance(e, Mul):
-            return Mul(sub_expr(e.left), sub_expr(e.right))
-        if isinstance(e, Sum):
-            return Sum(tuple(sub_expr(x) for x in e.items))
-        return e
-
-    def sub(g):
-        if isinstance(g, Cmp):
-            return Cmp(g.op, sub_expr(g.left), sub_expr(g.right))
-        if isinstance(g, And):
-            return And(sub(g.left), sub(g.right))
-        if isinstance(g, Or):
-            return Or(sub(g.left), sub(g.right))
-        if isinstance(g, Implies):
-            return Implies(sub(g.left), sub(g.right))
-        if isinstance(g, Not):
-            return Not(sub(g.body))
-        if isinstance(g, BigAnd):
-            if g.var == var:  # inner binder shadows
-                return g
-            return BigAnd(g.var, g.set_name, g.bindings, sub(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return sub(f)
-
-
-def bigand_instances(f: BigAnd) -> tuple:
-    """The conjuncts a BigAnd expands to, one per binding."""
-    return tuple(substitute(f.body, f.var, b) for b in f.bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +581,9 @@ def bigand_instances(f: BigAnd) -> tuple:
 
 
 def conjuncts(f: Formula) -> tuple:
-    """The conjuncts of a conjunction in fold order: the instances of a
-    BigAnd, or the left spine of an And chain ((a and b) and c gives a, b,
-    c; a and (b and c) gives a and the conjunction b and c)."""
-    if isinstance(f, BigAnd):
-        return bigand_instances(f)
+    """The conjuncts of a conjunction in fold order: the left spine of an
+    And chain ((a and b) and c gives a, b, c; a and (b and c) gives a and
+    the conjunction b and c)."""
     spine = []
     while isinstance(f, And):
         spine.append(f.right)
@@ -684,8 +608,8 @@ def template(g: Formula):
     likewise.  That flat tuple is the shape, so conjuncts that differ only
     in which entries they read have equal shapes (which hash together), and
     the index tuples give the original index of each slot.  A conjunct that
-    reads no single entry, reads a whole or primed vector (norm2), or holds
-    an unbound index or a nested forall has no template.
+    reads no single entry or reads a whole or primed vector (norm2) has no
+    template.
     """
     slots = {Output: {}, Input: {}}
     shape = []
@@ -694,8 +618,6 @@ def template(g: Formula):
         kind = type(h)
         shape.append(kind)
         if kind is Output or kind is Input:
-            if isinstance(h.index, str):
-                raise _NoTemplate
             seen = slots[kind]
             shape.append(seen.setdefault(h.index, len(seen)))
         elif kind is Const:
@@ -761,8 +683,6 @@ def push_negations(f: Formula, rewrite_implication: bool = False) -> Formula:
             return Implies(pos(g.left), pos(g.right))
         if isinstance(g, Not):
             return neg(g.body)
-        if isinstance(g, BigAnd):
-            return BigAnd(g.var, g.set_name, g.bindings, pos(g.body))
         raise TypeError(f"not a formula: {g!r}")
 
     def neg(g):
@@ -776,10 +696,6 @@ def push_negations(f: Formula, rewrite_implication: bool = False) -> Formula:
             return And(pos(g.left), neg(g.right))
         if isinstance(g, Not):
             return pos(g.body)
-        if isinstance(g, BigAnd):
-            raise ValueError(
-                "cannot negate a forall: the negation is an existential, which has no loss form here"
-            )
         raise TypeError(f"not a formula: {g!r}")
 
     return pos(f)
@@ -816,13 +732,9 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
         return lambda env: c
     if isinstance(e, Output):
         i = e.index
-        if isinstance(i, str):
-            raise UnboundReference(f"out[{i}]: quantifier variable was never bound")
         return lambda env: _pick(env.outputs, i, "out")
     if isinstance(e, Input):
         i = e.index
-        if isinstance(i, str):
-            raise UnboundReference(f"in[{i}]: quantifier variable was never bound")
         return lambda env: _pick(env.inputs, i, "in")
     if isinstance(e, Add):
         fl, fr = expr_fn(e.left), expr_fn(e.right)
@@ -841,8 +753,6 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
                 total = total + fn(env)
             return total
         return run
-    if isinstance(e, GroupSum):
-        raise UnboundReference(f"sum(out[{e.var}]): quantifier variable was never bound")
     if isinstance(e, Norm2Diff):
         lref, rref = e.left, e.right
         def run(env):
@@ -898,18 +808,6 @@ def crisp_fn(f: Formula) -> Callable[[Env], bool]:
             b = fb(env)
             return ~b if isinstance(b, np.ndarray) else not b
         return run
-    if isinstance(f, BigAnd):
-        fns = tuple(crisp_fn(g) for g in bigand_instances(f))
-        def run(env):
-            acc = True
-            for fn in fns:
-                v = fn(env)
-                if isinstance(v, np.ndarray) or isinstance(acc, np.ndarray):
-                    acc = acc & v
-                elif not v:
-                    return False
-            return acc
-        return run
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -935,7 +833,5 @@ def uses_paired_samples(f: Formula) -> bool:
     if isinstance(f, (And, Or, Implies)):
         return uses_paired_samples(f.left) or uses_paired_samples(f.right)
     if isinstance(f, Not):
-        return uses_paired_samples(f.body)
-    if isinstance(f, BigAnd):
         return uses_paired_samples(f.body)
     raise TypeError(f"not a formula: {f!r}")

@@ -63,7 +63,6 @@ from .autodiff import (
 )
 from .formula import (
     And,
-    BigAnd,
     Cmp,
     Env,
     Implies,
@@ -503,7 +502,7 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
         op = f.op
         cmpf = backend.compare
         return lambda env: cmpf(op, fl(env), fr(env))
-    if isinstance(f, (And, BigAnd)):
+    if isinstance(f, And):
         return _conjunction(conjuncts(f), backend)
     if isinstance(f, Or):
         fl, fr = truth_function(f.left, backend), truth_function(f.right, backend)

@@ -211,12 +211,6 @@ class Optimizer:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def step(self, m, grads_w, grads_b):
-        if self.momentum == 0.0:
-            for W, gw in zip(m.weights, grads_w):
-                W -= self.lr * gw
-            for b, gb in zip(m.biases, grads_b):
-                b -= self.lr * gb
-            return
         if self._vel is None:
             self._vel = [np.zeros_like(g) for g in grads_w + grads_b]
         params = m.weights + m.biases

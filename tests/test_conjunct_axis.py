@@ -18,7 +18,6 @@ from logicloss.autodiff import Node, aggregate, grad, stack, val, var
 from logicloss.constraints import csim_formula, group_formula, synthetic_tables
 from logicloss.formula import (
     And,
-    BigAnd,
     Env,
     ParseContext,
     batch_env,
@@ -131,7 +130,7 @@ def _leaf_env(f, probs, X):
 def _alone(f, backend, env):
     """The truth of `f`, every conjunction folded by `backend.conj` over its
     conjuncts, each compiled on its own."""
-    if isinstance(f, (And, BigAnd)):
+    if isinstance(f, And):
         values = [_alone(g, backend, env) for g in conjuncts(f)]
         acc = values[0]
         for v in values[1:]:

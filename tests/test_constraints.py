@@ -20,10 +20,10 @@ from logicloss.constraints import (
 )
 from logicloss.formula import (
     And,
-    BigAnd,
     Cmp,
     Env,
     Implies,
+    conjuncts,
     eval_crisp,
     parse,
     to_text,
@@ -259,9 +259,17 @@ def test_csim_roundtrip():
 def test_group_roundtrip():
     t = builtin_tables("gtsrb")
     f = group_formula(t.groups, eps=0.05)
-    assert isinstance(f, BigAnd)
+    assert len(conjuncts(f)) == len(t.groups)
     ctx = make_parse_context(t)
     assert parse(to_text(f), ctx) == f
+
+
+@pytest.mark.parametrize("tables", [synthetic_tables(), builtin_tables("gtsrb")], ids=["synthetic", "gtsrb"])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_group_formula_equals_the_parsed_forall(tables, eps):
+    ctx = make_parse_context(tables, consts={"eps": eps})
+    text = "forall g in Groups: (sum(out[g]) <= eps) or (sum(out[g]) >= 1 - eps)"
+    assert group_formula(tables.groups, eps) == parse(text, ctx)
 
 
 def test_lipschitz_roundtrip():

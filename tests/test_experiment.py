@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logicloss.cli import main
-from logicloss.constraints import synthetic_tables
+from logicloss.constraints import group_formula, synthetic_tables
 from logicloss.data import gen_synthetic
 from logicloss.experiment import (
     CONSTRAINT_NAMES,
@@ -24,7 +24,7 @@ from logicloss.experiment import (
     select_result,
     write_report,
 )
-from logicloss.formula import BigAnd, Cmp, Const, Output, parse
+from logicloss.formula import And, Cmp, Const, Or, Output, Sum, conjoin, conjuncts, parse
 from logicloss.network import Model, TrainingDiverged, init_model
 from test_data import _write_idx
 
@@ -323,8 +323,11 @@ def test_build_constraint_shapes():
     tables = synthetic_tables(5)
     csim = build_constraint(ExperimentConfig(constraint="csim", n_classes=5), tables)
     assert isinstance(csim, (Cmp,)) is False  # conjunction chain, not a bare atom
-    group = build_constraint(ExperimentConfig(constraint="group", n_classes=5), tables)
-    assert isinstance(group, BigAnd)
+    cfg = ExperimentConfig(constraint="group", n_classes=5)
+    group = build_constraint(cfg, tables)
+    # one conjunct per class group, (0, 1, 2) and (3, 4)
+    assert isinstance(group, And) and len(conjuncts(group)) == len(tables.groups) == 2
+    assert group == group_formula(tables.groups, eps=cfg.eps_group)
     lip = build_constraint(
         ExperimentConfig(constraint="lipschitz", lipschitz_l=2.5, n_classes=5), tables
     )
@@ -585,4 +588,6 @@ def test_parse_context_from_tables_reaches_run_constraints():
     tables = synthetic_tables(4)
     ctx = make_parse_context(tables, consts={"eps": 0.05})
     f = parse("(forall g in Groups: (sum(out[g]) <= eps) or (sum(out[g]) >= 0.95))", ctx)
-    assert isinstance(f, BigAnd)
+    masses = [Sum(tuple(Output(i) for i in g.members)) for g in tables.groups]
+    assert [g.members for g in tables.groups] == [(0, 1, 2), (3,)]
+    assert f == conjoin([Or(Cmp("<=", m, Const(0.05)), Cmp(">=", m, Const(0.95))) for m in masses])

@@ -1,6 +1,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 from logicloss.formula import (
     Add,
     And,
-    BigAnd,
     Cmp,
     Const,
     Env,
-    GroupSum,
     Implies,
     IndexOutOfRange,
     Input,
@@ -27,12 +26,12 @@ from logicloss.formula import (
     Sum,
     UnboundReference,
     UnknownIdentifier,
-    bigand_instances,
+    conjoin,
+    crisp_fn,
     eval_crisp,
     expr_text,
     parse,
     push_negations,
-    substitute,
     to_text,
     uses_paired_samples,
 )
@@ -70,23 +69,53 @@ def test_parse_forall_over_groups():
         "forall g in Groups: (sum(out[g]) <= eps) or (sum(out[g]) >= 1 - eps)",
         CTX,
     )
-    assert f == BigAnd(
-        "g",
-        "Groups",
-        ((0, 1, 2), (3, 4)),
-        Or(
-            Cmp("<=", GroupSum("g"), Const(0.05)),
-            Cmp(">=", GroupSum("g"), Sub(Const(1.0), Const(0.05))),
-        ),
+    masses = (Sum((Output(0), Output(1), Output(2))), Sum((Output(3), Output(4))))
+    assert f == And(
+        *(
+            Or(Cmp("<=", m, Const(0.05)), Cmp(">=", m, Sub(Const(1.0), Const(0.05))))
+            for m in masses
+        )
     )
 
 
 def test_parse_forall_over_scalar_labels():
     f = parse("forall v in Labels: out[v] >= 0", CTX)
-    assert f == BigAnd("v", "Labels", (0, 1, 2, 3, 4), Cmp(">=", Output("v"), Const(0.0)))
-    assert bigand_instances(f) == tuple(
-        Cmp(">=", Output(i), Const(0.0)) for i in range(5)
+    a = [Cmp(">=", Output(i), Const(0.0)) for i in range(5)]
+    assert f == And(And(And(And(a[0], a[1]), a[2]), a[3]), a[4])
+
+
+@pytest.mark.parametrize(
+    "text,by_hand",
+    [
+        (
+            "forall v in Labels: in[v] <= out[v]",
+            " and ".join(f"in[{i}] <= out[{i}]" for i in range(5)),
+        ),
+        (
+            "forall g in Groups: sum(out[g]) >= 0.5 -> out[0] <= 0.2",
+            "(sum(out[0], out[1], out[2]) >= 0.5 -> out[0] <= 0.2)"
+            " and (sum(out[3], out[4]) >= 0.5 -> out[0] <= 0.2)",
+        ),
+        ("forall t in One: sum(out[t]) <= eps", "sum(out[3], out[4]) <= 0.05"),
+    ],
+    ids=["labels", "groups", "single-binding"],
+)
+def test_forall_text_equals_the_conjunction_written_by_hand(text, by_hand):
+    ctx = ParseContext(
+        n_classes=5,
+        binding_sets={**CTX.binding_sets, "One": [(3, 4)]},
+        consts={"eps": 0.05},
     )
+    instances = by_hand.split(" and ")
+    assert parse(text, ctx) == conjoin([parse(t, ctx) for t in instances])
+    assert parse(text, ctx) == parse(by_hand, ctx)
+    assert parse(to_text(parse(text, ctx)), ctx) == parse(text, ctx)
+
+
+def test_conjoin_folds_left_and_keeps_a_single_part():
+    a, b, c = (Cmp("<=", Output(i), Const(0.5)) for i in range(3))
+    assert conjoin([a, b, c]) == And(And(a, b), c)
+    assert conjoin((a,)) is a
 
 
 def test_parse_precedence_and_binds_tighter_than_or():
@@ -147,11 +176,23 @@ def test_parse_sum_of_expression_list():
 
 def test_parse_nested_forall_shadowing():
     f = parse("forall v in Labels: forall v in Groups: sum(out[v]) <= out[0]", CTX)
-    assert isinstance(f, BigAnd) and isinstance(f.body, BigAnd)
-    # inner binding wins inside; expansion of the outer quantifier leaves the
-    # shadowed body untouched
-    inner = f.body
-    assert bigand_instances(f) == tuple(inner for _ in range(5))
+    # the inner binding wins inside: every one of the outer quantifier's five
+    # instances is the inner expansion, which reads v as a group
+    inner = And(
+        Cmp("<=", Sum((Output(0), Output(1), Output(2))), Output(0)),
+        Cmp("<=", Sum((Output(3), Output(4))), Output(0)),
+    )
+    assert f == conjoin([inner] * 5)
+
+
+def test_parse_inner_forall_shadows_only_inside_its_body():
+    # after the inner quantifier, v is the outer label again
+    f = parse("forall v in Labels: (forall v in Groups: sum(out[v]) <= 1) and out[v] >= 0", CTX)
+    inner = And(
+        Cmp("<=", Sum((Output(0), Output(1), Output(2))), Const(1.0)),
+        Cmp("<=", Sum((Output(3), Output(4))), Const(1.0)),
+    )
+    assert f == conjoin([And(inner, Cmp(">=", Output(i), Const(0.0))) for i in range(5)])
 
 
 def test_parse_comparison_chain_rejected():
@@ -245,7 +286,7 @@ def test_parse_error_from_the_parser_survives_pickling():
 def test_error_scalar_variable_as_group():
     f = parse("forall v in Labels: sum(out[v]) <= 1", CTX)
     # "sum(out[v])" with scalar v is a one-term sum, not a group sum
-    assert f.body == Cmp("<=", Sum((Output("v"),)), Const(1.0))
+    assert f == conjoin([Cmp("<=", Sum((Output(i),)), Const(1.0)) for i in range(5)])
 
 
 def test_error_mixed_binding_set():
@@ -271,7 +312,11 @@ def test_error_keyword_binder():
 
 def test_to_text_examples():
     f = parse("forall g in Groups: (sum(out[g]) <= eps) or (sum(out[g]) >= 1 - eps)", CTX)
-    assert to_text(f) == "(forall g in Groups: (sum(out[g]) <= 0.05 or sum(out[g]) >= (1.0 - 0.05)))"
+    # a forall prints as its expansion
+    assert to_text(f) == (
+        "((sum(out[0], out[1], out[2]) <= 0.05 or sum(out[0], out[1], out[2]) >= (1.0 - 0.05))"
+        " and (sum(out[3], out[4]) <= 0.05 or sum(out[3], out[4]) >= (1.0 - 0.05)))"
+    )
     assert parse(to_text(f), CTX) == f
 
 
@@ -280,16 +325,9 @@ def test_expr_text_const_repr():
     assert expr_text(Const(-2.0)) == "-2.0"
 
 
-_var_names = st.sampled_from(["g", "v", "j"])
-
-
 @st.composite
-def _exprs(draw, scalars, groups, depth):
+def _exprs(draw, depth):
     opts = ["const", "out", "in"]
-    if scalars:
-        opts += ["outvar", "invar"]
-    if groups:
-        opts.append("groupsum")
     if depth > 0:
         opts += ["add", "sub", "mul", "sum", "norm2"]
     kind = draw(st.sampled_from(opts))
@@ -299,54 +337,33 @@ def _exprs(draw, scalars, groups, depth):
         return Output(draw(st.integers(0, 4)))
     if kind == "in":
         return Input(draw(st.integers(0, 3)))
-    if kind == "outvar":
-        return Output(draw(st.sampled_from(sorted(scalars))))
-    if kind == "invar":
-        return Input(draw(st.sampled_from(sorted(scalars))))
-    if kind == "groupsum":
-        return GroupSum(draw(st.sampled_from(sorted(groups))))
     if kind == "sum":
         n = draw(st.integers(1, 3))
-        return Sum(tuple(draw(_exprs(scalars, groups, depth - 1)) for _ in range(n)))
+        return Sum(tuple(draw(_exprs(depth - 1)) for _ in range(n)))
     if kind == "norm2":
         return Norm2Diff(
             draw(st.sampled_from(["out", "out'", "in", "in'"])),
             draw(st.sampled_from(["out", "out'", "in", "in'"])),
         )
-    a = draw(_exprs(scalars, groups, depth - 1))
-    b = draw(_exprs(scalars, groups, depth - 1))
+    a = draw(_exprs(depth - 1))
+    b = draw(_exprs(depth - 1))
     return {"add": Add, "sub": Sub, "mul": Mul}[kind](a, b)
 
 
 @st.composite
-def _formulas(draw, scalars=frozenset(), groups=frozenset(), depth=3):
+def _formulas(draw, depth=3):
+    # no quantifiers: a parsed forall is already an And chain
     opts = ["cmp"]
     if depth > 0:
-        opts += ["and", "or", "not", "implies", "forall"]
+        opts += ["and", "or", "not", "implies"]
     kind = draw(st.sampled_from(opts))
     if kind == "cmp":
         op = draw(st.sampled_from(["<=", "<", ">=", ">", "==", "!="]))
-        return Cmp(
-            op,
-            draw(_exprs(scalars, groups, 2)),
-            draw(_exprs(scalars, groups, 2)),
-        )
+        return Cmp(op, draw(_exprs(2)), draw(_exprs(2)))
     if kind == "not":
-        return Not(draw(_formulas(scalars, groups, depth - 1)))
-    if kind == "forall":
-        var = draw(_var_names)
-        set_name = draw(st.sampled_from(["Labels", "Groups", "Triples"]))
-        bindings = tuple(
-            tuple(b) if isinstance(b, (tuple, list)) else b
-            for b in CTX.binding_sets[set_name]
-        )
-        if set_name == "Labels":
-            s, g = scalars | {var}, groups - {var}
-        else:
-            s, g = scalars - {var}, groups | {var}
-        return BigAnd(var, set_name, bindings, draw(_formulas(s, g, depth - 1)))
-    a = draw(_formulas(scalars, groups, depth - 1))
-    b = draw(_formulas(scalars, groups, depth - 1))
+        return Not(draw(_formulas(depth - 1)))
+    a = draw(_formulas(depth - 1))
+    b = draw(_formulas(depth - 1))
     return {"and": And, "or": Or, "implies": Implies}[kind](a, b)
 
 
@@ -404,13 +421,26 @@ def test_push_rewrites_implication_on_request():
 def test_push_into_forall_body():
     f = parse("forall v in Labels: not out[v] <= 0.5", CTX)
     out = push_negations(f)
-    assert out == BigAnd("v", "Labels", (0, 1, 2, 3, 4), Cmp("<", Const(0.5), Output("v")))
+    assert out == conjoin([Cmp("<", Const(0.5), Output(i)) for i in range(5)])
 
 
-def test_push_rejects_negated_forall():
-    f = Not(parse("forall v in Labels: out[v] >= 0", CTX))
-    with pytest.raises(ValueError):
-        push_negations(f)
+def test_push_negated_forall_is_the_or_of_negated_instances():
+    f = parse("forall v in Labels: out[v] >= 0.1", CTX)
+    out = push_negations(Not(f))
+    a = [Cmp("<", Output(i), Const(0.1)) for i in range(5)]
+    assert out == Or(Or(Or(Or(a[0], a[1]), a[2]), a[3]), a[4])
+    negated = crisp_fn(out)
+    holds = crisp_fn(f)
+    for outputs in ([0.2] * 5, [0.2, 0.05, 0.2, 0.2, 0.35], [0.0] * 5, [0.1] * 5):
+        env = Env(outputs=outputs)
+        assert negated(env) is (not holds(env))
+    rng = np.random.default_rng(3)
+    probs = rng.choice([0.0, 0.05, 0.1, 0.3], size=(64, 5))
+    probs[0] = 0.2  # a row where the forall holds
+    env = Env(outputs=list(probs.T))
+    want = ~holds(env)
+    assert want.any() and not want.all()
+    assert np.array_equal(negated(env), want)
 
 
 def _no_not_above_cmp(f):
@@ -418,8 +448,6 @@ def _no_not_above_cmp(f):
         return True
     if isinstance(f, Not):
         return False
-    if isinstance(f, BigAnd):
-        return _no_not_above_cmp(f.body)
     return _no_not_above_cmp(f.left) and _no_not_above_cmp(f.right)
 
 
@@ -522,11 +550,17 @@ def test_crisp_unbound_output():
         eval_crisp(Cmp(">=", Output(3), Const(0.0)), Env(outputs=[0.1, 0.9]))
 
 
-def test_crisp_unsubstituted_variable():
-    with pytest.raises(UnboundReference):
-        eval_crisp(Cmp("<=", GroupSum("g"), Const(1.0)), Env(outputs=[1.0]))
-    with pytest.raises(UnboundReference):
-        eval_crisp(Cmp("<=", Output("v"), Const(1.0)), Env(outputs=[1.0]))
+@pytest.mark.parametrize("node", [Output, Input])
+def test_ast_indices_must_be_non_negative_integers(node):
+    # a str index is no variable: construction rejects it, as it does a float
+    for bad in ("v", 2.0, None, (0, 1)):
+        with pytest.raises(TypeError):
+            node(bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        node(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        node(np.int64(-3))
+    assert node(np.int64(2)) == node(2)
 
 
 def test_crisp_norm2_needs_both_vectors():
@@ -535,22 +569,12 @@ def test_crisp_norm2_needs_both_vectors():
         eval_crisp(f, Env(outputs=[0.3, 0.7]))
 
 
-# ---------------------------------------------------------------------------
-# Substitution helpers
-
-
-def test_substitute_group_binding():
+def test_forall_group_binding_expands_to_sums():
     f = parse("forall g in Groups: sum(out[g]) <= eps", CTX)
-    first, second = bigand_instances(f)
-    assert first == Cmp("<=", Sum((Output(0), Output(1), Output(2))), Const(0.05))
-    assert second == Cmp("<=", Sum((Output(3), Output(4))), Const(0.05))
-
-
-def test_substitute_wrong_binding_kind():
-    with pytest.raises(ValueError):
-        substitute(Cmp("<=", Output("v"), Const(1.0)), "v", (0, 1))
-    with pytest.raises(ValueError):
-        substitute(Cmp("<=", GroupSum("g"), Const(1.0)), "g", 2)
+    assert f == And(
+        Cmp("<=", Sum((Output(0), Output(1), Output(2))), Const(0.05)),
+        Cmp("<=", Sum((Output(3), Output(4))), Const(0.05)),
+    )
 
 
 def test_uses_paired_samples():

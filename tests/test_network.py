@@ -308,6 +308,21 @@ def test_momentum_accumulates_velocity():
     assert m.weights[0][0, 0] == pytest.approx(-0.1 - 0.15)
 
 
+def test_momentum_zero_is_plain_sgd():
+    # at momentum 0 the velocity is the current gradient, nothing carried over
+    rng = np.random.default_rng(11)
+    W, b = rng.normal(size=(3, 4)), rng.normal(size=4)
+    m = Model((3, 4), [W.copy()], [b.copy()])
+    opt = Optimizer(lr=0.05)
+    (gw1, gb1), (gw2, gb2) = [(rng.normal(size=(3, 4)), rng.normal(size=4)) for _ in range(2)]
+    gw1[0, 0] = 0.0
+    gb2[:] = 0.0
+    opt.step(m, [gw1], [gb1])
+    opt.step(m, [gw2], [gb2])
+    assert np.array_equal(m.weights[0], W - 0.05 * gw1 - 0.05 * gw2)
+    assert np.array_equal(m.biases[0], b - 0.05 * gb1 - 0.05 * gb2)
+
+
 def test_ce_drops_on_separable_blobs():
     rng = np.random.default_rng(6)
     X0 = rng.normal(size=(20, 2)) * 0.3 + np.array([-2.0, 0.0])
