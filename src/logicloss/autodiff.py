@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation over scalars or a batch axis.
 
 A value is a plain Python float, an ndarray whose first axis runs over the
-samples of a batch (1-d, or with trailing axes from `stack`), or a `Node`
-holding either.  Arithmetic involving at least one node records the local
-derivatives eagerly, so the backward pass is a single accumulation sweep
-in reverse topological order.  An operation whose result cannot depend on
-any node returns a bare value, which keeps dead branches (the losing side
-of a max, a satisfied sub-constraint) off the tape entirely.
+samples of a batch (1-d, or with a trailing axis from `gather`), a matrix
+whose first axis runs over the entries of a vector and whose second runs
+over the batch, or a `Node` holding any of these.  Arithmetic involving at
+least one node records the local derivatives eagerly, so the backward pass
+is a single accumulation sweep in reverse topological order.  An operation
+whose result cannot depend on any node returns a bare value, which keeps
+dead branches (the losing side of a max, a satisfied sub-constraint) off
+the tape entirely.
 
 Every operation serves floats unchanged and never calls numpy on them.
 When a value is an array, each row is an independent sample: branching
@@ -17,16 +19,18 @@ checks fire only on rows that take the guarded branch.  `Node` sets
 `__array_ufunc__ = None`, so `ndarray <op> Node` defers to the node's
 reflected operator instead of building an object array.
 
-Two operations have partials that are not elementwise: `stack` lays batch
-columns side by side along a new last axis (an index may repeat), and
-`aggregate` reduces such a last axis with a given rule, in one node.
-Their partials are small objects whose `__rmul__` maps the child's
-adjoint into the parent's shape (summing a stacked slot back into its
-column, or spreading the reduction's adjoint along the reduced axis), so
-the reverse sweep keeps its one rule, `p.adjoint += a * d`, for array and
-float adjoints alike.  The loss compiler uses them to evaluate conjuncts
-of one shape once, on a (batch, conjuncts) array, and to reduce a whole
-conjunction by its t-norm at once.
+Three operations have partials that are not elementwise: `gather` reads
+entries of a matrix, one entry as a row over the batch or several side by
+side along a last axis (an index may repeat); `sum_entries` sums a matrix
+over its entries; and `aggregate` reduces a last axis with a given rule,
+in one node.  Their partials are small objects whose `__rmul__` maps the
+child's adjoint into the parent's shape (scattering each gathered slot
+back into its entry's row, repeating a sum's adjoint over the entries, or
+spreading the reduction's adjoint along the reduced axis), so the reverse
+sweep keeps its one rule, `p.adjoint += a * d`, for array and float
+adjoints alike.  The loss compiler uses them to read a batch's outputs
+from one leaf, to evaluate conjuncts of one shape once, on a (batch,
+conjuncts) array, and to reduce a whole conjunction by its t-norm at once.
 
 Kink conventions, applied consistently here, row by row, and in the
 analytic backprop elsewhere:
@@ -38,6 +42,7 @@ analytic backprop elsewhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Sequence
@@ -160,7 +165,7 @@ class Node:
 
 def var(value) -> Node:
     """A leaf node to differentiate with respect to: a float, or an array
-    with one entry per sample."""
+    over the batch, such as the matrix of a whole batch vector."""
     if isinstance(value, np.ndarray):
         return Node(np.asarray(value, dtype=float))
     return Node(float(value))
@@ -196,26 +201,109 @@ def select(mask, a, b):
     return Node(value, tuple(parents), tuple(partials))
 
 
-# -- stacking columns along a last axis --------------------------------
+# -- matrices: reading entries, summing over them, reducing a last axis --
+# A batch vector is a matrix whose first axis runs over its entries and
+# whose second runs over the samples of the batch.
 
 
-class _Gather:
-    """Partial of a stacked value with respect to one of its columns: the
-    sum of the adjoint over the slots that column fills."""
+@functools.lru_cache(maxsize=1024)
+def _gather_plan(idx):
+    """The index array of a tuple of entry indices, and its scatter passes:
+    pass k holds the (k+1)-th occurrence of each entry that has one, as
+    (entries, slots) index arrays, so no pass names an entry twice."""
+    passes: list[tuple[list, list]] = []
+    seen: dict[int, int] = {}
+    for j, i in enumerate(idx):
+        k = seen.get(i, 0)
+        seen[i] = k + 1
+        if k == len(passes):
+            passes.append(([], []))
+        passes[k][0].append(i)
+        passes[k][1].append(j)
+    arrays = tuple((np.array(r, dtype=np.intp), np.array(s, dtype=np.intp)) for r, s in passes)
+    return np.array(idx, dtype=np.intp), arrays
 
-    __slots__ = ("slots",)
+
+class _Scatter:
+    """Partial of a gather with respect to its matrix: the adjoint of each
+    slot added into the row of the entry it read, in slot order (a
+    repeated entry sums its slots left to right), on a zero matrix."""
+
+    __slots__ = ("shape", "rows", "passes")
     __array_ufunc__ = None
 
-    def __init__(self, slots):
-        self.slots = slots
+    def __init__(self, shape, rows, passes):
+        self.shape = shape
+        self.rows = rows
+        self.passes = passes
 
     def __rmul__(self, a):
-        slots = self.slots
+        out = np.zeros(self.shape)
+        if self.passes is None:
+            out[self.rows] = a
+            return out
+        uniform = type(a) is float or not isinstance(a, np.ndarray)
+        for k, (rows, slots) in enumerate(self.passes):
+            part = a if uniform else a[:, slots].T
+            if k:
+                out[rows] += part
+            else:
+                out[rows] = part
+        return out
+
+
+def gather(m, idx):
+    """Entries of the matrix `m` (an array, or a node holding one).
+
+    An int reads one entry: the row m[idx], over the batch.  A tuple reads
+    one entry per slot, an index may repeat: the (batch, slots) array
+    m[idx].T.  On a node the result is a node whose backward scatters each
+    slot back into its entry's row; on an array it is a bare array.
+    """
+    mv = m.value if isinstance(m, Node) else m
+    if isinstance(idx, tuple):
+        rows, passes = _gather_plan(idx)
+        value = mv[rows].T
+    else:
+        rows, passes = idx, None
+        value = mv[idx]
+    if not isinstance(m, Node):
+        return value
+    return Node(value, (m,), (_Scatter(mv.shape, rows, passes),))
+
+
+class _Broadcast:
+    """Partial of a sum over the entry axis: the sum's adjoint, the same on
+    every entry."""
+
+    __slots__ = ("shape",)
+    __array_ufunc__ = None
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __rmul__(self, a):
         if type(a) is not float and isinstance(a, np.ndarray):
-            if len(slots) == 1:
-                return a[..., slots[0]]
-            return a[..., slots].sum(axis=-1)
-        return a * len(slots)
+            return np.broadcast_to(a, self.shape)
+        return a
+
+
+def sum_entries(m):
+    """The sum over the entries of the matrix `m`, one value per sample,
+    added in entry order as a left fold over the entries adds them.
+
+    numpy reduces a C-ordered matrix row by row, the fold's order, except
+    along a single column, which it sums pairwise; a running sum keeps the
+    order there.
+    """
+    mv = np.ascontiguousarray(m.value if isinstance(m, Node) else m)
+    if mv.shape[1] == 1:
+        s = np.add.accumulate(mv, axis=0)[-1]
+    else:
+        s = np.add.reduce(mv, axis=0)
+    if isinstance(m, Node):
+        return Node(s, (m,), (_Broadcast(mv.shape),))
+    return s
 
 
 class _Spread:
@@ -233,24 +321,6 @@ class _Spread:
         if type(a) is not float and isinstance(a, np.ndarray):
             return a[..., None] * self.d
         return a * self.d
-
-
-def stack(columns, idx):
-    """The array whose slot j along a new last axis is `columns[idx[j]]`.
-
-    `columns` holds arrays over the batch axis or nodes with such values;
-    an index may repeat.  The result is a node whose backward sums each
-    slot back into its column, or a bare array when no column is a node.
-    """
-    picked = [columns[i] for i in idx]
-    value = np.stack([c.value if isinstance(c, Node) else c for c in picked], axis=-1)
-    slots: dict[Node, list[int]] = {}
-    for j, c in enumerate(picked):
-        if isinstance(c, Node):
-            slots.setdefault(c, []).append(j)
-    if not slots:
-        return value
-    return Node(value, tuple(slots), tuple(_Gather(tuple(s)) for s in slots.values()))
 
 
 def aggregate(pieces, rule):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error (bad flags, names, or formula text),
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from logicloss.constraints import builtin_tables, make_parse_context, synthetic_tables
@@ -39,6 +40,14 @@ def _floats(text):
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _vector(text):
+    # an ArgumentTypeError reaches the user prefixed by the flag's name
+    values = _floats(text)
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"every entry must be finite, got {text!r}")
+    return values
 
 
 def _hidden(text):
@@ -93,10 +102,10 @@ def _build_parser():
     ev = sub.add_parser("eval", help="evaluate a formula under one binding")
     ev.add_argument("--logic", choices=BACKEND_NAMES, required=True)
     ev.add_argument("--formula", required=True)
-    ev.add_argument("--out", required=True, type=_floats, help="output vector")
-    ev.add_argument("--in", dest="inputs", type=_floats, help="input vector")
-    ev.add_argument("--out2", type=_floats, help="second output vector")
-    ev.add_argument("--in2", dest="inputs2", type=_floats, help="second input vector")
+    ev.add_argument("--out", required=True, type=_vector, help="output vector")
+    ev.add_argument("--in", dest="inputs", type=_vector, help="input vector")
+    ev.add_argument("--out2", type=_vector, help="second output vector")
+    ev.add_argument("--in2", dest="inputs2", type=_vector, help="second input vector")
     _add_backend_options(ev)
 
     tr = sub.add_parser("train", help="one training run, CSV report")

@@ -14,6 +14,7 @@ probabilistic sum.
 """
 
 import dataclasses
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +29,14 @@ from logicloss.constraints import (
     synthetic_tables,
 )
 from logicloss.data import Dataset, check_noise_frac, gen_synthetic, load_idx
-from logicloss.formula import batch_env, crisp_fn, push_negations, sample_rows, uses_paired_samples
+from logicloss.formula import (
+    _is_index,
+    batch_env,
+    crisp_fn,
+    push_negations,
+    sample_rows,
+    uses_paired_samples,
+)
 from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum, t_product
 from logicloss.network import (
     Optimizer,
@@ -261,13 +269,16 @@ def _prediction_accuracy(probs, d):
 
 
 def _constraint_accuracy(fn, paired, probs, d):
-    """One call of the crisp evaluator `fn` covers the whole set: each
-    output and input column is an array over the samples, and the rows pair
-    up as `formula.sample_rows` says."""
+    """One call of the crisp evaluator `fn` covers the whole set: the
+    outputs and the inputs are (entries, samples) matrices, as in training,
+    and the rows pair up as `formula.sample_rows` says."""
     k, rows = sample_rows(len(d), paired)
     if k == 0:
         raise ValueError("need at least two samples for a paired constraint")
-    env = batch_env([list(probs[r].T) for r in rows], [list(d.features[r].T) for r in rows])
+    env = batch_env(
+        [np.ascontiguousarray(probs[r].T) for r in rows],
+        [np.ascontiguousarray(d.features[r].T) for r in rows],
+    )
     hits = int(np.count_nonzero(np.broadcast_to(fn(env), (k,))))
     return 100.0 * hits / k
 
@@ -350,6 +361,7 @@ def select_result(reports, window=10, key="product"):
 
     Ties go to the later epoch.  Fewer reports than the window: use all.
     """
+    window = _count("window", window)
     if not reports:
         raise ValueError("no reports to select from")
     score = _score_fn(key)
@@ -359,6 +371,16 @@ def select_result(reports, window=10, key="product"):
         if best is None or s >= best[0]:
             best = (s, r.p_acc, r.c_acc)
     return best[1], best[2]
+
+
+def _count(name, value):
+    """`value` as an int, for an argument that counts: an integer of any
+    integer type (not a bool), at least 1."""
+    if not _is_index(value):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return operator.index(value)
 
 
 def _score_fn(key):
@@ -383,9 +405,7 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     if not grid:
         raise ValueError("empty lambda grid")
     score = _score_fn(key)
-    if not jobs >= 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    jobs = int(jobs)
+    jobs = _count("jobs", jobs)
     work = [(cfg, lam) for lam in grid]
     if jobs == 1:
         results = [_sweep_point(w) for w in work]

@@ -23,7 +23,14 @@ when it is parsed: the body is read once per binding of the context's set
 S, with v standing for that binding (a class index, or a group of them
 under "sum(out[v])"), and the instances are joined by `conjoin` into one
 left-nested And.  No node of a parsed formula names a variable, so
-`to_text` prints a forall as its expansion.
+`to_text` prints a forall as its expansion.  The class indices a context
+supplies are integers of any integer type; a bool or a fractional member
+is a ParseError.
+
+A formula is evaluated on an `Env`: one sample's numbers, or a whole
+batch, each of whose vectors is one (entries, batch) matrix.  `expr_fn`
+serves both, and on matrices norm2 is one difference, one square and one
+sum over the entry axis, added in the order of the per-sample loop.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .autodiff import vsqrt
+from .autodiff import Node, gather, sum_entries, vsqrt
 
 CMP_OPS = ("<=", "<", ">=", ">", "==", "!=")
 VECTOR_REFS = ("out", "out'", "in", "in'")
@@ -168,8 +175,11 @@ class UnboundReference(LookupError):
 class Env:
     """Value bindings for one sample (or one sample pair).
 
-    For a batch, each entry of a vector is an array over the batch axis
-    (one column of the batch's outputs or inputs) instead of a number.
+    For one sample a vector is a sequence of numbers (or of scalar tape
+    nodes).  For a batch it is one matrix whose rows are the vector's
+    entries and whose columns are the samples (the transposed outputs or
+    inputs of the batch), or a tape node holding such a matrix; `out[i]`
+    then reads row i, an array over the batch.
     """
 
     outputs: Sequence = ()
@@ -201,7 +211,7 @@ def sample_rows(n: int, paired: bool) -> tuple[int, tuple]:
 
 
 def batch_env(outputs: Sequence, inputs: Sequence) -> Env:
-    """The bindings of a batch, given the output and the input columns of
+    """The bindings of a batch, given the output and the input matrix of
     each row selection from `sample_rows`, in the same order."""
     if len(outputs) == 1:
         return Env(outputs=outputs[0], inputs=inputs[0])
@@ -276,6 +286,18 @@ class _Fail(Exception):
     pass
 
 
+def _is_index(v) -> bool:
+    """Whether `v` is an integer (`operator.index` takes it) other than a
+    bool."""
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
+
+
 class _Parser:
     def __init__(self, toks, ctx: ParseContext):
         self.toks = toks
@@ -345,22 +367,27 @@ class _Parser:
         return conjoin(parts)
 
     def _normalize_bindings(self, bindings, pos):
-        if not bindings:
+        if len(bindings) == 0:
             self.fail("binding set is empty", pos)
         out = []
         for b in bindings:
-            if isinstance(b, int):
-                self._check_class_index(b, pos)
-                out.append(b)
+            if _is_index(b) or isinstance(b, (str, bytes)) or not hasattr(b, "__iter__"):
+                out.append(self._class_index(b, pos))
             else:
-                members = tuple(int(i) for i in b)
-                for i in members:
-                    self._check_class_index(i, pos)
-                out.append(members)
+                out.append(tuple(self._class_index(i, pos) for i in b))
         kinds = {isinstance(b, tuple) for b in out}
         if len(kinds) != 1:
             self.fail("binding set mixes single indices and index groups", pos)
         return tuple(out)
+
+    def _class_index(self, i, pos) -> int:
+        """A context's class index as an int: an integer of any integer
+        type, but not a bool, within the number of classes."""
+        if not _is_index(i):
+            self.fail(f"class index {i!r} must be an integer, not {type(i).__name__}", pos)
+        i = operator.index(i)
+        self._check_class_index(i, pos)
+        return i
 
     def _check_class_index(self, i, pos):
         if not 0 <= i < self.ctx.n_classes:
@@ -506,10 +533,8 @@ class _Parser:
                     if t not in self.scope and t in self.ctx.index_groups:
                         self.next()
                         self.expect("op", "]")
-                        members = self.ctx.index_groups[t]
-                        for i in members:
-                            self._check_class_index(int(i), pos)
-                        return Sum(tuple(Output(int(i)) for i in members))
+                        members = (self._class_index(i, pos) for i in self.ctx.index_groups[t])
+                        return Sum(tuple(Output(i) for i in members))
             self.i = mark
         items = [self.expr()]
         while self.accept("op", ","):
@@ -714,9 +739,19 @@ _CMP_FN = {
 }
 
 
-def _pick(seq: Sequence, i: int, what: str):
-    if i < len(seq):
-        return seq[i]
+def _is_matrix(vector) -> bool:
+    """Whether an `Env` vector is a batch's matrix (or a node holding one)
+    rather than one sample's numbers."""
+    return isinstance(vector, Node) or (isinstance(vector, np.ndarray) and vector.ndim == 2)
+
+
+def _entry_count(vector) -> int:
+    return len(vector.value if isinstance(vector, Node) else vector)
+
+
+def _pick(vector, i: int, what: str):
+    if i < _entry_count(vector):
+        return gather(vector, i) if isinstance(vector, Node) else vector[i]
     raise UnboundReference(f"{what}[{i}] is not bound by the environment")
 
 
@@ -758,10 +793,15 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
         def run(env):
             a = env.vector(lref)
             b = env.vector(rref)
-            if len(a) == 0 or len(b) == 0:
+            na, nb = _entry_count(a), _entry_count(b)
+            if na == 0 or nb == 0:
                 raise UnboundReference(f"norm2({lref} - {rref}): a vector is not bound")
-            if len(a) != len(b):
+            if na != nb:
                 raise UnboundReference(f"norm2({lref} - {rref}): vector lengths differ")
+            if _is_matrix(a) and _is_matrix(b):
+                # the float fold below, for every sample at once
+                d = a - b
+                return vsqrt(sum_entries(d * d))
             total = 0.0
             for x, y in zip(a, b):
                 d = x - y

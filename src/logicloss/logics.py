@@ -12,20 +12,21 @@ implementation serves batched training, per-sample evaluation, and the
 finite-difference oracles.  On a batch, every branch below is a masked
 select (`autodiff.select`) that applies the scalar rule row by row.
 
-A compiled conjunction adds a second array axis on a batch: conjuncts that
-differ only in which outputs or inputs they read (`formula.template`) run
-their shared template once, on arrays of shape (batch, members) stacked
-from the columns they read.  Every conjunct then takes its slot, in its
-original order, along the last axis of one (batch, conjuncts) array, which
-the backend's aggregation operator (`LogicBackend.conj_n`, the t-norm's
-n-ary form) reduces in one tape node.  Every operator is elementwise, so
-each conjunct gets the numbers it would get compiled alone, and the tape
-holds one copy of the template and one reduction, however many conjuncts
-there are.  The reduction runs in the fold's order, so it equals the left
-fold by the backend's conjunction bit for bit (Yager steps through the
-conjuncts one at a time, on bare arrays, off the tape).  On floats each
-conjunct runs its own closure, the fold runs pairwise, and numpy is never
-called.
+On a batch each vector of the `Env` is one (entries, batch) matrix, and a
+compiled conjunction adds a second array axis: conjuncts that differ only
+in which outputs or inputs they read (`formula.template`) run their shared
+template once, on (batch, members) arrays that one gather per template
+slot (`autodiff.gather`) reads from the matrix.  Every conjunct then takes
+its slot, in its original order, along the last axis of one (batch,
+conjuncts) array, which the backend's aggregation operator
+(`LogicBackend.conj_n`, the t-norm's n-ary form) reduces in one tape
+node.  Every operator is elementwise, so each conjunct gets the numbers it
+would get compiled alone, and the tape holds one copy of the template and
+one reduction, however many conjuncts there are.  The reduction runs in
+the fold's order, so it equals the left fold by the backend's conjunction
+bit for bit (Yager steps through the conjuncts one at a time, on bare
+arrays, off the tape).  On floats each conjunct runs its own closure, the
+fold runs pairwise, and numpy is never called.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -49,10 +50,10 @@ import numpy as np
 from .autodiff import (
     Node,
     aggregate,
+    gather,
     pow_parts,
     report_margin,
     select,
-    stack,
     val,
     vabs,
     vmax,
@@ -68,7 +69,9 @@ from .formula import (
     Implies,
     Not,
     Or,
-    _pick,
+    UnboundReference,
+    _entry_count,
+    _is_matrix,
     conjuncts,
     expr_fn,
     template,
@@ -537,9 +540,10 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     `backend.conj_n` reduces an array whose last axis holds the conjuncts
     in their order.  Conjuncts that share a template (`formula.template`)
     fill their slots from one run of the first member's closure, on an Env
-    whose entries are (batch, members) arrays stacked from the columns the
-    members read; the other members' closures are compiled only if floats
-    ever need them.
+    whose entries are (batch, members) arrays, one gather per slot from the
+    batch's matrix; the other members' closures are compiled only if floats
+    ever need them.  Inside an enclosing template, whose entries are
+    already (batch, members) arrays, each conjunct runs alone.
     """
     if len(parts) == 1:
         return truth_function(parts[0], backend)
@@ -549,7 +553,7 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
         if t is not None:
             members.setdefault(t[0], []).append((j, t[1], t[2]))
     shared = []
-    tops: dict = {}  # the highest entry of each vector that a stack reads
+    tops: dict = {}  # the highest entry of each vector that a gather reads
     for ms in members.values():
         if len(ms) >= 2:
             js, outs, ins = zip(*ms)
@@ -571,25 +575,24 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
             acc = conj(acc, value)
         return acc
 
-    def on_floats(env):
+    def run(env):
+        if reads and _is_matrix(env.vector(reads[0][0])):
+            for ref, top in reads:
+                if top >= _entry_count(env.vector(ref)):
+                    raise UnboundReference(f"{ref}[{top}] is not bound by the environment")
+            pieces = [(fns[j](env), j) for j in singles]
+            for fn, js, outs, ins in shared:
+                stacked = Env(outputs=_stacked(env.outputs, outs), inputs=_stacked(env.inputs, ins))
+                pieces.append((fn(stacked), js))
+            return aggregate(pieces, conj_n)
+        # floats, or the (batch, members) entries of an enclosing template:
+        # every conjunct runs its own closure
         if None in fns:
             fns[:] = [fn or truth_function(g, backend) for fn, g in zip(fns, parts)]
-        return fold([fn(env) for fn in fns])
-
-    def run(env):
-        if reads:
-            x = _pick(env.vector(reads[0][0]), reads[0][1], reads[0][0])
-            if not _on_batch(x):
-                return on_floats(env)
-            for ref, top in reads[1:]:
-                _pick(env.vector(ref), top, ref)
-        pieces = [(fns[j](env), j) for j in singles]
-        if not reads and not any(_on_batch(v) for v, _ in pieces):
-            return fold([v for v, _ in pieces])
-        for fn, js, outs, ins in shared:
-            stacked = Env(outputs=_stacked(env.outputs, outs), inputs=_stacked(env.inputs, ins))
-            pieces.append((fn(stacked), js))
-        return aggregate(pieces, conj_n)
+        values = [fn(env) for fn in fns]
+        if any(_on_batch(v) for v in values):
+            return aggregate(list(zip(values, range(len(values)))), conj_n)
+        return fold(values)
 
     return run
 
@@ -600,20 +603,21 @@ def _on_batch(x) -> bool:
 
 
 def _slots(indices):
-    """(position, columns) per slot of a shared template, from each
+    """(position, entries) per slot of a shared template, from each
     member's entry indices: the first member reads slot i at its own entry
-    indices[0][i], and the stack there holds every member's entry."""
+    indices[0][i], and the gather there reads every member's entry."""
     return tuple(zip(indices[0], zip(*indices)))
 
 
-def _stacked(vector, slots):
-    """A vector whose entry at each slot's position is the stack of that
-    slot's columns; entries no slot names stay unbound (None)."""
+def _stacked(matrix, slots):
+    """A vector whose entry at each slot's position is the (batch, members)
+    gather of that slot's entries from `matrix`; entries no slot names stay
+    unbound (None)."""
     if not slots:
         return ()
     out = [None] * (max(pos for pos, _ in slots) + 1)
     for pos, idx in slots:
-        out[pos] = stack(vector, idx)
+        out[pos] = gather(matrix, idx)
     return out
 
 

@@ -10,14 +10,16 @@ and its gradient (the probabilities, less 1 at each target, over the
 batch size).  The forward pass keeps each hidden layer's ``z >= 0`` mask
 for backprop in place of its pre-activation, and adds biases, applies
 ReLU and masks deltas in place.  The constraint term is differentiated
-on the tape once per batch: each of the 10-or-so probability outputs is
-one leaf whose value is an array over the batch axis, so the tape's size
-does not grow with the batch or the model, and its probability-space
-gradient is chained through the softmax Jacobian in one array
-expression.  Conjuncts of one shape (the csim triples, groups
-of one size) share one copy of their template on the tape, evaluated over
-a (batch, conjuncts) array, and the conjunction is one reduction node over
-that axis, so the tape does not grow with the number of conjuncts either.
+on the tape once per batch: the batch's probabilities are one leaf, an
+(outputs, samples) matrix (two, one per sample of a pair, for a paired
+constraint), so the tape's size does not grow with the batch, the number
+of classes or the model, and the leaf's adjoint, the probability-space
+gradient, is chained through the softmax Jacobian in one array
+expression.  Conjuncts of one shape (the csim triples, groups of one size)
+share one copy of their template on the tape, evaluated over a (batch,
+conjuncts) array gathered from the leaf, and the conjunction is one
+reduction node over that axis, so the tape does not grow with the number
+of conjuncts either.
 """
 
 from dataclasses import dataclass, field
@@ -115,26 +117,26 @@ def forward_batch(m, X):
 def _logic_grads(fn, paired, probs, X, lam):
     """Mean constraint loss and its logit-space gradient over a batch.
 
-    One tape pass covers the whole batch: each output column is one leaf
-    whose value holds every sample's probability, and the rows pair up as
-    `formula.sample_rows` says.  Tape gradients live in probability space;
-    the chain through softmax is dz = p * (g - g.p) for every row at once.
+    One tape pass covers the whole batch: the rows pair up as
+    `formula.sample_rows` says, and each row selection's probabilities are
+    one leaf, an (outputs, samples) matrix, whose adjoint is their whole
+    probability-space gradient.  The chain through softmax is
+    dz = p * (g - g.p) for every row at once.
     """
     d_logits = np.zeros_like(probs)
     k, rows = sample_rows(len(probs), paired)
     if k == 0:
         return 0.0, d_logits
-    leaves = [[var(col) for col in np.ascontiguousarray(probs[r].T)] for r in rows]
-    lv = fn(batch_env(leaves, [list(np.ascontiguousarray(X[r].T)) for r in rows]))
+    leaves = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
+    lv = fn(batch_env(leaves, [np.ascontiguousarray(X[r].T) for r in rows]))
     losses = lv.value if isinstance(lv, Node) else lv
     total = float(np.sum(np.broadcast_to(losses, (k,))))
     if isinstance(lv, Node):
-        g = grad(lv, [nd for row in leaves for nd in row])
-        for r, row in zip(rows, leaves):
-            gp = np.empty((k, len(row)))
-            for j, nd in enumerate(row):
-                gp[:, j] = g[nd]
+        g = grad(lv, leaves)
+        for r, leaf in zip(rows, leaves):
             p = probs[r]
+            gp = np.empty(p.shape)
+            gp[...] = np.transpose(g[leaf])
             d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
     d_logits *= lam / k
     return total / k, d_logits

@@ -10,8 +10,9 @@ from logicloss.autodiff import (
     DomainError,
     Node,
     aggregate,
+    gather,
     grad,
-    stack,
+    sum_entries,
     track_branch_margins,
     val,
     var,
@@ -271,10 +272,11 @@ def test_deep_chain_iterative_topo():
     assert g[x] == pytest.approx(0.9999 ** 5000, rel=1e-9)
 
 
-# -- stack and aggregate -------------------------------------------------
+# -- gather, sum_entries and aggregate ----------------------------------
 
-# column 0 fills two slots of the first stack, column 2 one slot of each,
-# column 1 one slot of the first and two of the second
+# a matrix has one row per entry and one column per sample; entry 0 fills
+# two slots of the first gather, entry 2 one slot of each, entry 1 one
+# slot of the first and two of the second
 _SLOTS = ((0, 2, 0, 1), (2, 1, 1, 3))
 _WEIGHTS = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -283,65 +285,96 @@ def _weighted_sum(x):
     return (x * _WEIGHTS).sum(axis=-1), np.broadcast_to(_WEIGHTS, x.shape)
 
 
-def _through_stack(cols):
-    a, b = (stack(cols, idx) for idx in _SLOTS)
+def _through_gather(m):
+    a, b = (gather(m, idx) for idx in _SLOTS)
     t = a * b + vsqrt(a)
     return aggregate([(t, (0, 1, 2, 3))], _weighted_sum)
 
 
-def _per_column(cols):
+def _per_entry(m):
     out = 0.0
     for k, (i, j) in enumerate(zip(*_SLOTS)):
-        a, b = cols[i], cols[j]
+        a, b = gather(m, i), gather(m, j)
         out = out + (k + 1.0) * (a * b + vsqrt(a))
     return out
 
 
-def test_stack_and_aggregate_match_a_per_column_expression_and_finite_differences():
+def test_gather_and_aggregate_match_a_per_entry_expression_and_finite_differences():
     point = np.random.default_rng(4).uniform(0.2, 1.5, size=(4, 3))
-    leaves = [var(row) for row in point]
-    got = _through_stack(leaves)
-    g = grad(got, leaves)
-    want_leaves = [var(row) for row in point]
-    want = _per_column(want_leaves)
-    gw = grad(want, want_leaves)
+    leaf = var(point)
+    got = _through_gather(leaf)
+    g = grad(got, [leaf])[leaf]
+    want_leaf = var(point)
+    want = _per_entry(want_leaf)
+    gw = grad(want, [want_leaf])[want_leaf]
     np.testing.assert_allclose(val(got), val(want), rtol=1e-15, atol=0.0)
-    for lf, wl in zip(leaves, want_leaves):
-        np.testing.assert_allclose(g[lf], gw[wl], rtol=1e-15, atol=0.0)
-    # rows are independent samples, so each row's partial is that of the row sum
-    fd = finite_diff(
-        lambda p: float(np.sum(_through_stack(list(np.reshape(p, point.shape))))), point.ravel()
-    )
-    np.testing.assert_allclose(np.concatenate([g[lf] for lf in leaves]), fd, rtol=1e-6)
+    np.testing.assert_allclose(g, gw, rtol=1e-15, atol=0.0)
+    # columns are independent samples, so each column's partial is that of the sum
+    fd = finite_diff(lambda p: float(np.sum(_through_gather(np.reshape(p, point.shape)))), point.ravel())
+    np.testing.assert_allclose(g.ravel(), fd, rtol=1e-6)
 
 
-def test_a_float_adjoint_reaches_stack_and_aggregate():
-    leaves = [var(np.array([0.1, 0.2])), var(np.array([0.3, 0.4])), var(np.array([0.5, 0.6]))]
-    # the stacked node is the root, so its adjoint is the float 1.0
-    g = grad(stack(leaves, (0, 0, 1)), leaves)
-    assert g[leaves[0]] == 2.0 and g[leaves[1]] == 1.0 and g[leaves[2]] == 0.0
+def test_gather_reads_rows_and_slots():
+    m = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(gather(m, 2), m[2])
+    s = gather(m, (3, 0, 3))
+    assert type(s) is np.ndarray and s.shape == (3, 3)
+    assert np.array_equal(s, np.stack([m[3], m[0], m[3]], axis=-1))
+    leaf = var(m)
+    for idx in (2, (3, 0, 3)):
+        node = gather(leaf, idx)
+        assert isinstance(node, Node) and node.parents == (leaf,)
+        assert np.array_equal(node.value, gather(m, idx))
+
+
+def test_a_repeated_entry_sums_its_slots_left_to_right():
+    """The scatter adds a repeated entry's slots in slot order, as
+    `a[:, slots].sum(-1)` does, also past numpy's pairwise block of 8."""
+    rng = np.random.default_rng(5)
+    slots = (3, 0, 3, 3, 1, 0, 3, 3, 3, 3, 3, 3, 3)  # entry 3 ten times, entry 2 never
+    m = var(rng.uniform(size=(5, 64)))
+    a = rng.normal(size=(64, len(slots)))
+    g = grad(gather(m, slots) * a, [m])[m]
+    for i in range(5):
+        want = a[:, [j for j, s in enumerate(slots) if s == i]].sum(-1)
+        assert np.array_equal(g[i], want), i
+    assert not g[2].any() and g.shape == (5, 64)
+
+
+def test_a_float_adjoint_reaches_gather_and_aggregate():
+    m = var(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+    # the gathered node is the root, so its adjoint is the float 1.0
+    assert np.array_equal(grad(gather(m, (0, 0, 1)), [m])[m], [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(grad(gather(m, 1), [m])[m], [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     # 1 - x hands the float -1.0 down to the aggregate, which spreads it
-    # over the stacked slots
-    g = grad(1.0 - aggregate([(stack(leaves, (2, 0, 2, 0)), (0, 1, 2, 3))], _weighted_sum), leaves)
-    assert np.array_equal(g[leaves[0]], [-6.0, -6.0])
-    assert np.array_equal(g[leaves[2]], [-4.0, -4.0])
-    assert np.array_equal(np.broadcast_to(g[leaves[1]], (2,)), [0.0, 0.0])
+    # over the gathered slots
+    g = grad(1.0 - aggregate([(gather(m, (2, 0, 2, 0)), (0, 1, 2, 3))], _weighted_sum), [m])[m]
+    assert np.array_equal(g, [[-6.0, -6.0], [0.0, 0.0], [-4.0, -4.0]])
 
 
-def test_stack_and_aggregate_without_nodes_return_bare_values():
-    cols = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    s = stack(cols, (1, 0, 1))
+def test_gather_and_aggregate_without_nodes_return_bare_values():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    s = gather(m, (1, 0, 1))
     assert type(s) is np.ndarray
     assert np.array_equal(s, [[3.0, 1.0, 3.0], [4.0, 2.0, 4.0]])
-    r = aggregate([(s, (0, 2, 3)), (cols[0], 1)], _weighted_sum)
+    r = aggregate([(s, (0, 2, 3)), (gather(m, 0), 1)], _weighted_sum)
     # rows laid out as [3, 1, 1, 3] and [4, 2, 2, 4]
     assert type(r) is np.ndarray and np.array_equal(r, [20.0, 30.0])
     # nothing but floats reduces to a float
     r = aggregate([(0.5, (0, 1)), (2.0, 3), (1.0, 2)], _weighted_sum)
     assert type(r) is float and r == 0.5 + 1.0 + 3.0 + 8.0
-    x = var(np.array([5.0, 6.0]))
-    mixed = stack([cols[0], x], (0, 1))
-    assert isinstance(mixed, Node) and mixed.parents == (x,)
+
+
+def test_sum_entries_sums_each_column_with_a_repeated_adjoint():
+    m = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 0.25]])
+    assert type(sum_entries(m)) is np.ndarray and np.array_equal(sum_entries(m), [4.0, 6.0, 0.75])
+    leaf = var(m)
+    s = sum_entries(leaf)
+    assert isinstance(s, Node) and np.array_equal(s.value, [4.0, 6.0, 0.75])
+    w = np.array([1.0, -2.0, 3.0])
+    assert np.array_equal(grad(s * w, [leaf])[leaf], [w, w])
+    # a float adjoint stays a float, the same on every entry
+    assert grad(s, [leaf])[leaf] == 1.0
 
 
 def test_aggregate_lays_pieces_out_in_slot_order():

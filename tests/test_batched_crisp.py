@@ -65,19 +65,14 @@ def _scalar_reference(f, probs, X):
 
 
 def _batched_hits(f, probs, X):
-    """The crisp evaluator called once on column arrays."""
+    """The crisp evaluator called once on (entries, samples) matrices."""
     if uses_paired_samples(f):
         k = len(probs) // 2
         a, b = slice(0, 2 * k, 2), slice(1, 2 * k, 2)
-        env = Env(
-            outputs=list(probs[a].T),
-            outputs2=list(probs[b].T),
-            inputs=list(X[a].T),
-            inputs2=list(X[b].T),
-        )
+        env = Env(outputs=probs[a].T, outputs2=probs[b].T, inputs=X[a].T, inputs2=X[b].T)
     else:
         k = len(probs)
-        env = Env(outputs=list(probs.T), inputs=list(X.T))
+        env = Env(outputs=probs.T, inputs=X.T)
     return np.broadcast_to(crisp_fn(f)(env), (k,))
 
 
@@ -197,15 +192,32 @@ def test_norm2_is_the_same_number_on_both_paths():
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2, 50, N_CLASSES)) * rng.uniform(1e-9, 1e3, size=(2, 50, 1))
     norm = expr_fn(Norm2Diff("out", "out'"))
-    batched = norm(Env(outputs=list(a.T), outputs2=list(b.T)))
-    # the same evaluator on tape nodes over the arrays, as a loss sees them
-    on_tape = norm(Env(outputs=[var(c) for c in a.T], outputs2=[var(c) for c in b.T]))
+    batched = norm(Env(outputs=a.T, outputs2=b.T))
+    # the same evaluator on tape leaves holding the matrices, as a loss sees them
+    on_tape = norm(Env(outputs=var(a.T), outputs2=var(b.T)))
     assert isinstance(on_tape, Node) and on_tape.value.tolist() == batched.tolist()
     for i in range(len(a)):
         scalar = norm(Env(outputs=[float(v) for v in a[i]], outputs2=[float(v) for v in b[i]]))
         assert type(scalar) is float and scalar == batched[i]
     assert norm(Env(outputs=[0.5, 0.25], outputs2=[0.5, 0.25])) == 0.0
     assert norm(Env(outputs=[3.0, 0.0], outputs2=[0.0, 4.0])) == 5.0
+
+
+@pytest.mark.parametrize("entries", [2, 9, 20])
+@pytest.mark.parametrize("batch", [1, 256])
+def test_norm2_on_matrices_is_the_float_fold_bit_for_bit(entries, batch):
+    """One sum over the entry axis adds in the float loop's order, also on
+    a single sample, where numpy would sum a column pairwise."""
+    rng = np.random.default_rng(entries * 1000 + batch)
+    norm = expr_fn(Norm2Diff("in", "in'"))
+    for _ in range(20):
+        a, b = rng.normal(size=(2, batch, entries)) * rng.uniform(1e-3, 1e3, size=(2, batch, 1))
+        want = [norm(Env(inputs=[float(v) for v in a[i]], inputs2=[float(v) for v in b[i]])) for i in range(batch)]
+        # C-ordered matrices as training builds them, and transposed views
+        for ins, ins2 in ((np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)), (a.T, b.T)):
+            got = norm(Env(inputs=ins, inputs2=ins2))
+            assert got.shape == (batch,) and got.tolist() == want
+            assert norm(Env(inputs=var(ins), inputs2=var(ins2))).value.tolist() == want
 
 
 def test_a_sample_independent_formula_counts_every_sample():

@@ -114,6 +114,17 @@ def test_bad_vector_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--out", "--in", "--out2", "--in2"])
+@pytest.mark.parametrize("bad", ["nan", "0.5,inf", "-inf,0.5"])
+def test_non_finite_vector_is_usage_error_naming_the_flag(capsys, flag, bad):
+    vectors = {"--out": "0.5,0.5", "--in": "0.1,0.2", "--out2": "0.4,0.6", "--in2": "0.3,0.2", flag: bad}
+    argv = ["eval", "--logic", "rc", "--formula", "norm2(out - out') <= norm2(in - in')"]
+    code = main(argv + [f"{name}={value}" for name, value in vectors.items()])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"argument {flag}: every entry must be finite" in captured.err
+
+
 def test_help_lists_backends(capsys):
     code = main(["--help"])
     out = capsys.readouterr().out

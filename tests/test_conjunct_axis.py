@@ -14,8 +14,8 @@ relative 1e-12, with Godel ties on the earliest conjunct.  And
 import numpy as np
 import pytest
 
-from logicloss.autodiff import Node, aggregate, grad, stack, val, var
-from logicloss.constraints import csim_formula, group_formula, synthetic_tables
+from logicloss.autodiff import Node, aggregate, gather, grad, val, var
+from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
 from logicloss.formula import (
     And,
     Env,
@@ -122,9 +122,11 @@ def _batches():
 
 
 def _leaf_env(f, probs, X):
+    """The batch Env that `_logic_grads` builds: one leaf matrix of
+    probabilities per row selection, and one input matrix each."""
     k, rows = sample_rows(len(probs), uses_paired_samples(f))
-    outputs = [[var(c) for c in np.ascontiguousarray(probs[r].T)] for r in rows]
-    return k, batch_env(outputs, [list(np.ascontiguousarray(X[r].T)) for r in rows])
+    outputs = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
+    return k, batch_env(outputs, [np.ascontiguousarray(X[r].T) for r in rows])
 
 
 def _alone(f, backend, env):
@@ -150,11 +152,12 @@ def test_batch_loss_is_the_fold_of_conjuncts_compiled_alone(backend_name, name):
         want = truth if backend.polarity == ZERO_WHEN_TRUE else 1.0 - truth
         gv, wv = (np.broadcast_to(val(v), (k,)) for v in (got, want))
         assert np.array_equal(gv, wv), (gv, wv)
-        leaves = [nd for vector in (env.outputs, env.outputs2) for nd in vector]
+        leaves = [m for m in (env.outputs, env.outputs2) if isinstance(m, Node)]
         got_g, want_g = grad(got, leaves), grad(want, leaves)
-        for nd in leaves:
-            g, w = (np.broadcast_to(x[nd], (k,)) for x in (got_g, want_g))
-            assert _rel_err(g, w) <= REL_TOL, (g, w)
+        for m in leaves:
+            # entry by entry, as each was one leaf
+            for g, w in zip(*(np.broadcast_to(x[m], m.value.shape) for x in (got_g, want_g))):
+                assert _rel_err(g, w) <= REL_TOL, (g, w)
 
 
 @pytest.mark.parametrize("backend_name,name", COMBOS)
@@ -210,6 +213,24 @@ def test_tape_does_not_grow_with_the_number_of_conjuncts():
     assert sizes[0] == sizes[1], sizes
 
 
+def test_lipschitz_tape_does_not_grow_with_classes_or_input_dims():
+    """norm2 on the leaf matrices is a fixed handful of nodes: a difference,
+    a square, one sum over the entries and a root, whatever the vectors'
+    lengths."""
+    backend = make_backend("rc")
+    # a bound so tight that every pair breaks it, so every branch is uniform
+    f = lipschitz_formula(1e-4)
+    rng = np.random.default_rng(3)
+    sizes = set()
+    for n_classes, dims in ((3, 2), (10, 20), (40, 2), (3, 64)):
+        probs = rng.dirichlet(np.ones(n_classes), size=16)
+        _, env = _leaf_env(f, probs, rng.normal(size=(16, dims)))
+        root = loss_function(f, backend)(env)
+        assert isinstance(root, Node)
+        sizes.add(_tape_size(root))
+    assert len(sizes) == 1, sizes
+
+
 def test_template_renumbers_entries_by_first_appearance():
     shape, outs, ins = template(parse("out[5] >= out[5] * out[2] + in[3]", _CTX))
     assert (outs, ins) == ((5, 2), (3,))
@@ -249,20 +270,20 @@ _CONJ_BACKENDS += [(name, make_backend(name)) for name in BACKEND_NAMES]
 
 
 def _fold_and_reduce(backend, rows):
-    """(fold value, fold partials, n-ary value, n-ary partials) over `rows`,
-    one leaf per slot."""
+    """(fold value, fold partials, n-ary value, n-ary partials) over `rows`:
+    the fold on one leaf per slot, the reduction on all slots gathered from
+    one leaf matrix."""
     fold_leaves = [var(c) for c in np.ascontiguousarray(rows.T)]
     acc = fold_leaves[0]
     for leaf in fold_leaves[1:]:
         acc = backend.conj(acc, leaf)
-    n_leaves = [var(c) for c in np.ascontiguousarray(rows.T)]
-    n = len(n_leaves)
-    red = aggregate([(stack(n_leaves, range(n)), tuple(range(n)))], backend.conj_n)
-    partials = []
-    for root, leaves in ((acc, fold_leaves), (red, n_leaves)):
-        g = grad(root, leaves)
-        partials.append(np.stack([np.broadcast_to(g[lf], (len(rows),)) for lf in leaves], axis=-1))
-    return val(acc), partials[0], val(red), partials[1]
+    g = grad(acc, fold_leaves)
+    fold_d = np.stack([np.broadcast_to(g[lf], (len(rows),)) for lf in fold_leaves], axis=-1)
+    m = var(np.ascontiguousarray(rows.T))
+    n = len(m.value)
+    red = aggregate([(gather(m, tuple(range(n))), tuple(range(n)))], backend.conj_n)
+    red_d = np.broadcast_to(grad(red, [m])[m], m.value.shape).T
+    return val(acc), fold_d, val(red), red_d
 
 
 @pytest.mark.parametrize("label,backend", _CONJ_BACKENDS, ids=[b for b, _ in _CONJ_BACKENDS])
@@ -294,6 +315,6 @@ def test_godel_ties_go_to_the_earliest_conjunct_in_the_original_order():
     backend, f = _compiled("godel", "tie-across-a-single")
     probs, X = next(_batches())
     k, env = _leaf_env(f, probs, X)
-    g = grad(loss_function(f, backend)(env), env.outputs)
-    assert g[env.outputs[1]][-1] != 0.0
-    assert g[env.outputs[2]][-1] == 0.0
+    g = grad(loss_function(f, backend)(env), [env.outputs])[env.outputs]
+    assert g[1][-1] != 0.0
+    assert g[2][-1] == 0.0

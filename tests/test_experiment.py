@@ -479,6 +479,23 @@ def test_select_result_window():
         select_result([])
 
 
+@pytest.mark.parametrize(
+    "window,message",
+    [(0, "window must be >= 1, got 0"), (-2, "window must be >= 1, got -2")]
+    + [(w, f"window must be >= 1 and an integer, got {w!r}") for w in (1.5, 2.0, True, "3", None)],
+)
+def test_select_result_rejects_a_window_that_is_not_a_positive_integer(window, message):
+    with pytest.raises(ValueError) as e:
+        select_result(_reports([(10.0, 10.0), (99.0, 99.0), (10.0, 10.0)]), window=window)
+    assert str(e.value) == message
+
+
+def test_select_result_window_takes_numpy_integers():
+    reports = _reports([(99.0, 99.0), (10.0, 10.0), (20.0, 20.0)])
+    assert select_result(reports, window=np.int64(2)) == (20.0, 20.0)
+    assert select_result(reports, window=np.int32(3)) == (99.0, 99.0)
+
+
 def test_select_result_sum_key():
     # product favors the balanced pair, sum the lopsided one
     reports = _reports([(90.0, 20.0), (50.0, 55.0)])
@@ -513,6 +530,27 @@ def test_lambda_sweep_rejects_jobs_below_one(jobs, monkeypatch):
     monkeypatch.setattr(experiment, "_sweep_point", no_point)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         lambda_sweep(TINY, grid=[0.0, 0.4], jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.0, True, "2", None])
+def test_lambda_sweep_rejects_jobs_that_are_not_integers(jobs, monkeypatch):
+    import logicloss.experiment as experiment
+
+    def no_point(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(experiment, "_sweep_point", no_point)
+    with pytest.raises(ValueError) as e:
+        lambda_sweep(TINY, grid=[0.0, 0.4], jobs=jobs)
+    assert str(e.value) == f"jobs must be >= 1 and an integer, got {jobs!r}"
+
+
+def test_lambda_sweep_takes_numpy_integer_jobs(monkeypatch):
+    import logicloss.experiment as experiment
+
+    monkeypatch.setattr(experiment, "_sweep_point", lambda args: _reports([(50.0, args[1] * 10.0)]))
+    rows, best = lambda_sweep(TINY, grid=[0.0, 0.4], jobs=np.int64(1))
+    assert rows == [(0.0, 50.0, 0.0), (0.4, 50.0, 4.0)] and best == 0.4
 
 
 def test_lambda_sweep_parallel_matches_serial():

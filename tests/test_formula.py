@@ -306,6 +306,38 @@ def test_error_keyword_binder():
         parse("forall out in Labels: out[0] >= 0", CTX)
 
 
+def test_binding_sets_take_numpy_integers():
+    labels = parse("forall v in L: out[v] >= 0", ParseContext(n_classes=3, binding_sets={"L": [0, 1, 2]}))
+    for numpy_labels in (list(np.arange(3)), np.arange(3)):
+        ctx = ParseContext(n_classes=3, binding_sets={"L": numpy_labels})
+        assert parse("forall v in L: out[v] >= 0", ctx) == labels
+    groups = parse("forall g in G: sum(out[g]) <= 1", ParseContext(n_classes=3, binding_sets={"G": [(0, 1), (2,)]}))
+    ctx = ParseContext(n_classes=3, binding_sets={"G": [np.arange(2), (np.int64(2),)]})
+    assert parse("forall g in G: sum(out[g]) <= 1", ctx) == groups
+    ctx = ParseContext(n_classes=3, index_groups={"Low": np.arange(2)})
+    assert parse("sum(out[Low]) <= 1", ctx) == Cmp("<=", Sum((Output(0), Output(1))), Const(1.0))
+
+
+@pytest.mark.parametrize(
+    "bindings,bad",
+    [([True], "True"), ([0, np.True_], "np.True_"), ([(0, 1.9)], "1.9"), ([1.5], "1.5"), (["ab"], "'ab'")],
+    ids=["bool", "numpy-bool", "fractional-group-member", "float", "str"],
+)
+def test_error_binding_that_is_not_an_integer(bindings, bad):
+    ctx = ParseContext(n_classes=3, binding_sets={"B": bindings})
+    text = "forall g in B: sum(out[g]) <= 1" if isinstance(bindings[0], tuple) else "forall v in B: out[v] >= 0"
+    with pytest.raises(ParseError) as e:
+        parse(text, ctx)
+    assert e.value.message.startswith(f"class index {bad} must be an integer")
+    assert e.value.pos == text.index("B:")
+
+
+def test_error_index_group_member_that_is_not_an_integer():
+    ctx = ParseContext(n_classes=3, index_groups={"Low": [0, 1.9]})
+    with pytest.raises(ParseError, match="class index 1.9 must be an integer"):
+        parse("sum(out[Low]) <= 1", ctx)
+
+
 # ---------------------------------------------------------------------------
 # Printing / round-trip
 
@@ -437,7 +469,7 @@ def test_push_negated_forall_is_the_or_of_negated_instances():
     rng = np.random.default_rng(3)
     probs = rng.choice([0.0, 0.05, 0.1, 0.3], size=(64, 5))
     probs[0] = 0.2  # a row where the forall holds
-    env = Env(outputs=list(probs.T))
+    env = Env(outputs=probs.T)
     want = ~holds(env)
     assert want.any() and not want.all()
     assert np.array_equal(negated(env), want)
