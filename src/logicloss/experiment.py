@@ -14,6 +14,8 @@ probabilistic sum.
 """
 
 import dataclasses
+import math
+import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -83,8 +85,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam={self.lam!r}: lambda must be non-negative")
+        _check_lambda(self.lam)
         # The checks each value meets later in a run, made here so that a bad
         # value fails before any data is loaded, under its own key.
         for key, check in (
@@ -112,6 +113,12 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{key}={getattr(self, key)!r}: constraint 'lipschitz' pairs samples, so it needs at least 2"
                     )
+
+
+def _check_lambda(lam):
+    """A lambda is a finite real number >= 0; a bool is not one."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam={lam!r}: lambda must be non-negative")
 
 
 @dataclass
@@ -283,22 +290,64 @@ def _constraint_accuracy(fn, paired, probs, d):
     return 100.0 * hits / k
 
 
-def run(cfg):
-    """Train per config; one EpochReport per epoch, deterministic per seed."""
+@dataclass(frozen=True)
+class RunSetup:
+    """What a run builds before its first step that does not read lambda.
+
+    `cfg` has `n_classes` taken from an idx dataset; `train` and `test` are
+    the two splits, with read-only arrays, so runs that share a set-up
+    cannot change each other's data; `constraint` is the formula scored on
+    the test set and `train_formula` the form a training backend reads
+    (negations pushed for a crisp backend), None when the set-up was made
+    for lambda 0 only.  Every field pickles, and an unpickled copy is
+    read-only too; the compiled loss and the crisp evaluator are closures,
+    so each run builds them from these fields.
+    """
+
+    cfg: ExperimentConfig
+    train: Dataset
+    test: Dataset
+    constraint: object
+    train_formula: object = None
+
+    def __post_init__(self):
+        for d in (self.train, self.test):
+            d.features.flags.writeable = False
+            d.labels.flags.writeable = False
+
+    def __reduce__(self):
+        return RunSetup, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
+def setup_run(cfg, logic):
+    """The RunSetup of `cfg`: the data, the tables and the constraint.
+    The training form is built only when `logic` says some run of this
+    set-up trains at a lambda above 0."""
     train, test = _load_data(cfg)
     if train.n_classes != cfg.n_classes and cfg.dataset != "synthetic":
         cfg = dataclasses.replace(cfg, n_classes=train.n_classes)
-    tables = _resolve_tables(cfg)
-    constraint = build_constraint(cfg, tables)
+    constraint = build_constraint(cfg, _resolve_tables(cfg))
+    train_formula = None
+    if logic:
+        train_formula = constraint
+        if make_backend(cfg.backend).impl is None:
+            train_formula = push_negations(constraint, rewrite_implication=True)
+    return RunSetup(cfg, train, test, constraint, train_formula)
 
+
+def train_run(setup, lam):
+    """Train from `setup` at weight `lam`; one EpochReport per epoch,
+    deterministic per seed.  The backend and the compiled loss are built
+    only for `lam` > 0, the crisp evaluator when the first epoch is
+    scored."""
+    cfg, train, test, constraint = setup.cfg, setup.train, setup.test, setup.constraint
     backend = None
     train_term = None
-    if cfg.lam > 0.0:
+    if lam > 0.0:
+        if setup.train_formula is None:
+            raise ValueError(f"lam={lam!r}: the set-up was made for lambda 0 only")
         backend = _training_backend(cfg)
-        train_formula = constraint
-        if backend.impl is None:
-            train_formula = push_negations(train_formula, rewrite_implication=True)
-        train_term = compile_constraint(train_formula, backend)
+        train_term = compile_constraint(setup.train_formula, backend)
 
     # compiled when the first epoch is scored, so the first step does not wait
     crisp = None
@@ -319,10 +368,10 @@ def run(cfg):
             batch = (train.features[sl], train.labels[sl])
             try:
                 ce, logic = train_step(
-                    model, batch, cfg.lam, backend, train_term, opt
+                    model, batch, lam, backend, train_term, opt
                 )
             except Exception as exc:
-                _add_note(exc, f"backend={cfg.backend} lambda={cfg.lam} epoch={epoch}")
+                _add_note(exc, f"backend={cfg.backend} lambda={lam} epoch={epoch}")
                 raise
             ce_total += ce * len(sl)
             logic_total += logic * len(sl)
@@ -333,12 +382,21 @@ def run(cfg):
             EpochReport(
                 epoch=epoch,
                 train_ce=ce_total / n,
-                train_logic=logic_total / n if cfg.lam > 0.0 else 0.0,
+                train_logic=logic_total / n if lam > 0.0 else 0.0,
                 p_acc=_prediction_accuracy(probs, test),
                 c_acc=_constraint_accuracy(crisp, paired, probs, test),
             )
         )
     return reports
+
+
+def run(cfg):
+    """Train per config; one EpochReport per epoch, deterministic per seed.
+
+    `setup_run` then `train_run`; at lambda 0 no backend is built and
+    nothing is compiled for training.
+    """
+    return train_run(setup_run(cfg, cfg.lam > 0.0), cfg.lam)
 
 
 def _add_note(exc, note):
@@ -391,28 +449,53 @@ def _score_fn(key):
     raise ValueError(f"unknown selection key {key!r}; valid: product, sum")
 
 
+# the set-up of the sweep a pool worker serves, stored by its initializer
+_worker_setup = None
+
+
+def _init_sweep_worker(setup):
+    global _worker_setup
+    _worker_setup = setup
+
+
 def _sweep_point(args):
-    cfg, lam = args
-    reports = run(dataclasses.replace(cfg, lam=lam))
-    return reports
+    """(setup, lam) -> the point's reports; a pool worker's task is
+    (None, lam), and the point trains from the worker's stored set-up."""
+    setup, lam = args
+    return train_run(_worker_setup if setup is None else setup, lam)
 
 
 def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     """One run per lambda (same seed and data); returns (rows, best_lambda)
     with rows of (lambda, P, C).  Ties on the score keep the earlier grid
-    entry."""
+    entry.
+
+    Every grid entry is checked before any data loads.  The data, tables
+    and constraint are built once, in the calling process (`setup_run`);
+    each point builds its own model, backend, compiled loss and crisp
+    evaluator (`train_run`), so each row equals a standalone `run` at that
+    lambda.  With `jobs` > 1, at most one worker per point is started, and
+    each receives the set-up once, through the pool's initializer; a task
+    carries only its lambda.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("empty lambda grid")
+    for lam in grid:
+        _check_lambda(lam)
     score = _score_fn(key)
     jobs = _count("jobs", jobs)
-    work = [(cfg, lam) for lam in grid]
+    setup = setup_run(cfg, any(lam > 0.0 for lam in grid))
     if jobs == 1:
-        results = [_sweep_point(w) for w in work]
+        results = [_sweep_point((setup, lam)) for lam in grid]
     else:
         # a worker's exception, notes included, reaches the caller as itself
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, work))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(grid)),
+            initializer=_init_sweep_worker,
+            initargs=(setup,),
+        ) as pool:
+            results = list(pool.map(_sweep_point, [(None, lam) for lam in grid]))
 
     rows = []
     best_lam = None

@@ -60,13 +60,21 @@ class Const:
     value: float
 
 
+def _check_node_index(kind, index):
+    # a bool passes operator.index, but prints as `out[True]`, which the
+    # parser rejects
+    if not _is_index(index):
+        raise TypeError(f"{kind} index must be an integer, not {type(index).__name__}")
+    if index < 0:
+        raise ValueError(f"{kind} index must be non-negative")
+
+
 @dataclass(frozen=True, slots=True)
 class Input:
     index: int
 
     def __post_init__(self):
-        if operator.index(self.index) < 0:
-            raise ValueError("input index must be non-negative")
+        _check_node_index("input", self.index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +82,7 @@ class Output:
     index: int
 
     def __post_init__(self):
-        if operator.index(self.index) < 0:
-            raise ValueError("output index must be non-negative")
+        _check_node_index("output", self.index)
 
 
 @dataclass(frozen=True, slots=True)

@@ -362,10 +362,11 @@ def test_criterion_9_sweep_protocol(monkeypatch, capsys):
     with criterion(9, "sweep covers the 15-value grid; selection matches hand oracle"):
         # stub trainer: quality is a known function of lambda, so the
         # winning grid point is computable by hand
-        def fake_run(cfg):
-            return [EpochReport(1, 0.0, 0.0, 100.0 - 5.0 * cfg.lam, 10.0 * cfg.lam)]
+        def fake_point(args):
+            _, lam = args
+            return [EpochReport(1, 0.0, 0.0, 100.0 - 5.0 * lam, 10.0 * lam)]
 
-        monkeypatch.setattr("logicloss.experiment.run", fake_run)
+        monkeypatch.setattr("logicloss.experiment._sweep_point", fake_point)
         rows, best = lambda_sweep(ExperimentConfig(), jobs=1)
         assert [lam for lam, _, _ in rows] == list(LAMBDA_GRID)
         assert len(rows) == 15

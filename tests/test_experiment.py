@@ -1,8 +1,14 @@
+import dataclasses
+import functools
 import multiprocessing
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import logicloss.experiment as experiment
 from logicloss.cli import main
 from logicloss.constraints import group_formula, synthetic_tables
 from logicloss.data import gen_synthetic
@@ -12,6 +18,7 @@ from logicloss.experiment import (
     REPORT_HEADER,
     EpochReport,
     ExperimentConfig,
+    RunSetup,
     _fmt,
     _training_backend,
     build_constraint,
@@ -22,9 +29,22 @@ from logicloss.experiment import (
     report_lines,
     run,
     select_result,
+    setup_run,
+    train_run,
     write_report,
 )
-from logicloss.formula import And, Cmp, Const, Or, Output, Sum, conjoin, conjuncts, parse
+from logicloss.formula import (
+    And,
+    Cmp,
+    Const,
+    Or,
+    Output,
+    Sum,
+    conjoin,
+    conjuncts,
+    parse,
+    push_negations,
+)
 from logicloss.network import Model, TrainingDiverged, init_model
 from test_data import _write_idx
 
@@ -94,6 +114,9 @@ def test_config_rejects_hidden_widths_below_one(hidden):
         ("eps_group", 0.7),
         ("lipschitz_l", -1.0),
         ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("lam", True),
+        ("lam", "1"),
         ("xi", float("nan")),
         ("yager_p", float("nan")),
         ("sigmoidal_s", float("nan")),
@@ -595,6 +618,129 @@ def test_lambda_sweep_raises_a_failed_point_s_own_exception(jobs, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SWEEP_CFG = dataclasses.replace(TINY, epochs=2, n_train=80, n_test=40)
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """The real pool, recording what the sweep hands it."""
+
+    made = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        super().__init__(max_workers=max_workers, **kwargs)
+        self.max_workers = max_workers
+        self.initargs = kwargs.get("initargs")
+        self.tasks = None
+        _RecordingPool.made.append(self)
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return super().map(fn, self.tasks)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "bad",
+    [-1.0, "1", True, np.True_, float("nan"), float("inf"), None],
+    ids=["negative", "str", "bool", "numpy-bool", "nan", "inf", "none"],
+)
+def test_lambda_sweep_rejects_a_bad_grid_entry_before_anything_runs(bad, jobs, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started work on a bad grid")
+
+    monkeypatch.setattr(experiment, "_sweep_point", never)
+    monkeypatch.setattr(experiment, "_load_data", never)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", never)
+    with pytest.raises(ValueError) as e:
+        lambda_sweep(TINY, grid=[0.0, bad], jobs=jobs)
+    assert str(e.value) == f"lam={bad!r}: lambda must be non-negative"
+
+
+def test_lambda_sweep_starts_no_more_workers_than_points(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
+    rows, _ = lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4], jobs=8)
+    assert [pool.max_workers for pool in _RecordingPool.made] == [2]
+    assert rows == lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4], jobs=1)[0]
+
+
+def test_lambda_sweep_hands_the_set_up_to_workers_once_and_tasks_carry_only_lambda(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
+    lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4, 1.0], jobs=2)
+    (pool,) = _RecordingPool.made
+    assert pool.tasks == [(None, 0.0), (None, 0.4), (None, 1.0)]
+    (setup,) = pool.initargs
+    assert isinstance(setup, RunSetup) and setup.cfg == SWEEP_CFG
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "backend,constraint", [("rc", "csim"), ("dl2", "lipschitz"), ("godel", "group")]
+)
+def test_every_sweep_row_equals_a_standalone_run(backend, constraint, jobs):
+    cfg = dataclasses.replace(SWEEP_CFG, backend=backend, constraint=constraint)
+    grid = [0.0, 0.4, 2.0]
+    rows, _ = lambda_sweep(cfg, grid=grid, jobs=jobs)
+    assert rows == [
+        (lam, *select_result(run(dataclasses.replace(cfg, lam=lam)))) for lam in grid
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_lambda_sweep_loads_its_data_once_in_the_calling_process(jobs, monkeypatch):
+    caller = os.getpid()
+    loads = []
+    real_load = experiment._load_data
+
+    def load_in_caller_only(cfg):
+        if os.getpid() != caller:
+            raise AssertionError("a pool worker loaded data")
+        loads.append(cfg)
+        return real_load(cfg)
+
+    monkeypatch.setattr(experiment, "_load_data", load_in_caller_only)
+    lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4, 1.0], jobs=jobs)
+    assert len(loads) == 1
+
+
+def test_set_up_arrays_are_read_only_and_it_pickles():
+    setup = setup_run(SWEEP_CFG, True)
+    copy = pickle.loads(pickle.dumps(setup))
+    for s in (setup, copy):
+        for d in (s.train, s.test):
+            for a in (d.features, d.labels):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+    assert copy.cfg == setup.cfg
+    assert (copy.constraint, copy.train_formula) == (setup.constraint, setup.train_formula)
+    for a, b in ((copy.train, setup.train), (copy.test, setup.test)):
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+    assert train_run(copy, 0.4) == train_run(setup, 0.4)
+
+
+def test_set_up_pushes_negations_only_for_a_crisp_backend_and_only_for_logic():
+    fuzzy = setup_run(SWEEP_CFG, True)
+    assert fuzzy.train_formula == fuzzy.constraint
+    crisp = setup_run(dataclasses.replace(SWEEP_CFG, backend="dl2"), True)
+    assert crisp.train_formula == push_negations(crisp.constraint, rewrite_implication=True)
+    ce_only = setup_run(SWEEP_CFG, False)
+    assert ce_only.train_formula is None
+    assert train_run(ce_only, 0.0) == run(SWEEP_CFG)
+    with pytest.raises(ValueError, match="lambda 0 only"):
+        train_run(ce_only, 0.4)
+
+
+def test_lambda_sweep_runs_in_a_spawned_pool(monkeypatch):
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        experiment, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+    )
+    grid = [0.0, 0.4]
+    assert lambda_sweep(SWEEP_CFG, grid=grid, jobs=2) == lambda_sweep(SWEEP_CFG, grid=grid, jobs=1)
 
 
 def test_fmt_is_plain_decimal():

@@ -595,6 +595,22 @@ def test_ast_indices_must_be_non_negative_integers(node):
     assert node(np.int64(2)) == node(2)
 
 
+@pytest.mark.parametrize("node", [Output, Input])
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_ast_indices_reject_a_bool(node, bad):
+    # Output(True) would equal Output(1) and print as `out[True]`, which
+    # the parser rejects
+    with pytest.raises(TypeError, match=f"index must be an integer, not {type(bad).__name__}"):
+        node(bad)
+
+
+@pytest.mark.parametrize("node", [Output, Input])
+@pytest.mark.parametrize("integer", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_ast_indices_take_numpy_integers(node, integer):
+    assert node(integer(3)) == node(3)
+    assert node(integer(0)).index == 0
+
+
 def test_crisp_norm2_needs_both_vectors():
     f = parse("norm2(out - out') <= 0.5", CTX)
     with pytest.raises(UnboundReference):
