@@ -1,23 +1,23 @@
-"""Reverse-mode automatic differentiation over scalars or a batch axis.
+"""Reverse-mode automatic differentiation over a batch axis.
 
-A value is a plain Python float, an ndarray whose first axis runs over the
-samples of a batch (1-d, or with a trailing axis from `gather`), a matrix
-whose first axis runs over the entries of a vector and whose second runs
-over the batch, or a `Node` holding any of these.  Arithmetic involving at
-least one node records the local derivatives eagerly, so the backward pass
-is a single accumulation sweep in reverse topological order.  An operation
-whose result cannot depend on any node returns a bare value, which keeps
-dead branches (the losing side of a max, a satisfied sub-constraint) off
-the tape entirely.
+A value is an ndarray whose first axis runs over the samples of a batch
+(1-d, or with a trailing axis from `gather`), a matrix whose first axis
+runs over the entries of a vector and whose second runs over the batch, a
+scalar that is the same on every row (a formula's constant, or the value
+of a one-sample tape node), or a `Node` holding any of these.  One sample
+is a batch of one.  Arithmetic involving at least one node records the
+local derivatives eagerly, so the backward pass is a single accumulation
+sweep in reverse topological order.  An operation whose result cannot
+depend on any node returns a bare value, which keeps dead branches (the
+losing side of a max, a satisfied sub-constraint) off the tape entirely.
 
-Every operation serves floats unchanged and never calls numpy on them.
-When a value is an array, each row is an independent sample: branching
-operations become masked selects (`select`) that apply the scalar rule row
-by row, and a mask that is uniform over the batch returns the winning
-operand itself, so dead branches stay off the tape here too.  Domain
-checks fire only on rows that take the guarded branch.  `Node` sets
-`__array_ufunc__ = None`, so `ndarray <op> Node` defers to the node's
-reflected operator instead of building an object array.
+Every operation has one numpy body, and each row is an independent
+sample: branching operations are masked selects (`select`) that apply the
+scalar rule row by row, and a mask that is uniform over the batch returns
+the winning operand itself, so dead branches stay off the tape here too.
+Domain checks fire only on rows that take the guarded branch.  `Node`
+sets `__array_ufunc__ = None`, so `ndarray <op> Node` defers to the
+node's reflected operator instead of building an object array.
 
 Three operations have partials that are not elementwise: `gather` reads
 entries of a matrix, one entry as a row over the batch or several side by
@@ -27,7 +27,7 @@ in one node.  Their partials are small objects whose `__rmul__` maps the
 child's adjoint into the parent's shape (scattering each gathered slot
 back into its entry's row, repeating a sum's adjoint over the entries, or
 spreading the reduction's adjoint along the reduced axis), so the reverse
-sweep keeps its one rule, `p.adjoint += a * d`, for array and float
+sweep keeps its one rule, `p.adjoint += a * d`, for array and scalar
 adjoints alike.  The loss compiler uses them to read a batch's outputs
 from one leaf, to evaluate conjuncts of one shape once, on a (batch,
 conjuncts) array, and to reduce a whole conjunction by its t-norm at once.
@@ -43,7 +43,6 @@ analytic backprop elsewhere:
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -54,13 +53,15 @@ class DomainError(ArithmeticError):
     """An operation left its numeric domain (ln(x<=0), x/0, 0**negative, sqrt(x<0))."""
 
 
-# Optional branch-distance recording on the float path.  When a list is
-# installed via track_branch_margins(), every value-level branch decision on
-# floats (max/min/abs, piecewise ops in the logic layer) appends its distance
-# to the branch boundary; a batch records nothing.  Gradient-check tests use
-# this to reject sample points that sit too close to a kink for finite
+# Optional branch-distance recording.  When a list is installed via
+# track_branch_margins(), every value-level branch decision (max/min/abs,
+# piecewise ops in the logic layer, the kinks of a t-norm's aggregation)
+# appends the distance of each row to the branch boundary, an array over
+# the batch (a scalar when the decision is the same on every row); a row
+# that does not take the guarded branch records inf.  Gradient-check tests
+# use this to reject sample points that sit too close to a kink for finite
 # differences to be trustworthy.
-_margins: list[float] | None = None
+_margins: list | None = None
 
 
 @contextmanager
@@ -74,23 +75,21 @@ def track_branch_margins():
         _margins = saved
 
 
-def report_margin(d: float) -> None:
+def report_margin(a, b=0.0, slots=False) -> None:
+    """Record |a - b| when tracking is on; `a` may be a function of no
+    arguments, for a distance that costs work to compute.  With `slots`,
+    the last axis holds one margin per slot of a reduction, and each slot
+    is recorded on its own."""
     if _margins is not None:
-        _margins.append(d)
-
-
-# The operations below test for a batch as `type(v) is not float and
-# isinstance(v, np.ndarray)` (or, on a comparison's result, `type(v) is not
-# bool and ...`), written out: on the float path that is one identity check,
-# where a helper call or a bare isinstance costs the scalar oracle about
-# four times as much per operation.
+        d = np.abs(np.subtract(a() if callable(a) else a, b))
+        if slots:
+            _margins.extend(np.moveaxis(d, -1, 0))
+        else:
+            _margins.append(d)
 
 
 def _check_divisor(v) -> None:
-    if type(v) is not float and isinstance(v, np.ndarray):
-        if not v.all():
-            raise DomainError("division by zero")
-    elif v == 0.0:
+    if not np.asarray(v).all():
         raise DomainError("division by zero")
 
 
@@ -98,7 +97,7 @@ class Node:
     """One tape entry: a value plus references to the nodes it came from.
 
     `partials` holds the local derivative with respect to each parent,
-    evaluated at record time (a float, or an array over the batch axis);
+    evaluated at record time (a scalar, or an array over the batch axis);
     `adjoint` is scratch space for grad().
     """
 
@@ -164,7 +163,7 @@ class Node:
 
 
 def var(value) -> Node:
-    """A leaf node to differentiate with respect to: a float, or an array
+    """A leaf node to differentiate with respect to: a scalar, or an array
     over the batch, such as the matrix of a whole batch vector."""
     if isinstance(value, np.ndarray):
         return Node(np.asarray(value, dtype=float))
@@ -177,10 +176,11 @@ def val(x):
 
 
 def select(mask, a, b):
-    """Row-wise `a if mask else b` for a boolean array over the batch axis.
+    """Row-wise `a if mask else b` for a boolean mask over the batch axis.
 
-    A uniform mask returns the winning operand itself.  Otherwise each
-    row's gradient goes to the operand that row took.
+    A uniform mask (a numpy scalar one always is) returns the winning
+    operand itself.  Otherwise each row's gradient goes to the operand
+    that row took.
     """
     hits = np.count_nonzero(mask)
     if hits == mask.size:
@@ -242,7 +242,7 @@ class _Scatter:
         if self.passes is None:
             out[self.rows] = a
             return out
-        uniform = type(a) is float or not isinstance(a, np.ndarray)
+        uniform = np.ndim(a) == 0
         for k, (rows, slots) in enumerate(self.passes):
             part = a if uniform else a[:, slots].T
             if k:
@@ -283,9 +283,7 @@ class _Broadcast:
         self.shape = shape
 
     def __rmul__(self, a):
-        if type(a) is not float and isinstance(a, np.ndarray):
-            return np.broadcast_to(a, self.shape)
-        return a
+        return np.broadcast_to(a, self.shape)
 
 
 def sum_entries(m):
@@ -318,9 +316,7 @@ class _Spread:
         self.d = d
 
     def __rmul__(self, a):
-        if type(a) is not float and isinstance(a, np.ndarray):
-            return a[..., None] * self.d
-        return a * self.d
+        return np.asarray(a)[..., None] * self.d
 
 
 def aggregate(pieces, rule):
@@ -328,11 +324,11 @@ def aggregate(pieces, rule):
 
     Each piece is (value, slots).  With a tuple of slots, the value's own
     last axis fills those positions of the new last axis, in order; with an
-    int slot, the whole value fills that one position.  A float fills its
+    int slot, the whole value fills that one position.  A scalar fills its
     positions on every row.  `rule(x)` returns the reduction of x along its
     last axis and, with x's shape, the partials of that by each entry.  The
     result is one node whose parents are the pieces that are nodes, or a
-    bare value when no piece is a node (a float when no piece is an array).
+    bare value when no piece is a node (a scalar when no piece is an array).
     """
     values = [p.value if isinstance(p, Node) else p for p, _ in pieces]
     n = sum(len(s) if type(s) is tuple else 1 for _, s in pieces)
@@ -347,8 +343,6 @@ def aggregate(pieces, rule):
         for v, (_, s) in zip(values, pieces):
             x[..., s] = v
     value, d = rule(x)
-    if x.ndim == 1:
-        value = float(value)
     parents = []
     partials = []
     for p, s in pieces:
@@ -361,56 +355,36 @@ def aggregate(pieces, rule):
 
 
 # -- piecewise and transcendental operations --------------------------
-# Each accepts floats, arrays or nodes and returns a bare value when no
+# Each accepts scalars, arrays or nodes and returns a bare value when no
 # node is involved (or when the winning branch is constant).
 
 
 def vmax(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    take_a = av >= bv  # an array iff either side is one
-    if type(take_a) is not bool and isinstance(take_a, np.ndarray):
-        return select(take_a, a, b)
-    report_margin(abs(av - bv))
-    if take_a:
-        return a
-    return b
+    report_margin(av, bv)
+    return select(np.greater_equal(av, bv), a, b)
 
 
 def vmin(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    take_a = av <= bv
-    if type(take_a) is not bool and isinstance(take_a, np.ndarray):
-        return select(take_a, a, b)
-    report_margin(abs(av - bv))
-    if take_a:
-        return a
-    return b
+    report_margin(av, bv)
+    return select(np.less_equal(av, bv), a, b)
 
 
 def vabs(a):
-    if isinstance(a, Node):
-        v = a.value
-        if type(v) is not float and isinstance(v, np.ndarray):
-            if (v > 0.0).all():
-                return a
-            return Node(np.abs(v), (a,), (np.sign(v),))
-        report_margin(abs(v))
-        if v > 0.0:
-            return a
-        if v < 0.0:
-            return Node(-v, (a,), (-1.0,))
-        return Node(0.0, (a,), (0.0,))
-    out = abs(a)  # np.abs on an array
-    if type(out) is float or not isinstance(out, np.ndarray):
-        report_margin(out)
-    return out
+    v = a.value if isinstance(a, Node) else a
+    report_margin(v)
+    if not isinstance(a, Node):
+        return np.abs(v)
+    if np.greater(v, 0.0).all():
+        return a
+    return Node(np.abs(v), (a,), (np.sign(v),))
 
 
 def vexp(a):
-    v = a.value if isinstance(a, Node) else a
-    e = np.exp(v) if type(v) is not float and isinstance(v, np.ndarray) else math.exp(v)
+    e = np.exp(val(a))
     if isinstance(a, Node):
         return Node(e, (a,), (e,))
     return e
@@ -418,14 +392,9 @@ def vexp(a):
 
 def vln(a):
     v = a.value if isinstance(a, Node) else a
-    if type(v) is not float and isinstance(v, np.ndarray):
-        if (v <= 0.0).any():
-            raise DomainError(f"ln of non-positive value {v[v <= 0.0][0]!r}")
-        out = np.log(v)
-    else:
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v!r}")
-        out = math.log(v)
+    if np.less_equal(v, 0.0).any():
+        raise DomainError(f"ln of non-positive value {float(np.min(v))!r}")
+    out = np.log(v)
     if isinstance(a, Node):
         return Node(out, (a,), (1.0 / v,))
     return out
@@ -433,34 +402,21 @@ def vln(a):
 
 def vsqrt(a):
     v = a.value if isinstance(a, Node) else a
-    if type(v) is not float and isinstance(v, np.ndarray):
-        if (v < 0.0).any():
-            raise DomainError(f"sqrt of negative value {v[v < 0.0][0]!r}")
-        s = np.sqrt(v)
-        if isinstance(a, Node):
-            # 0.5 / inf is the zero partial at v == 0
-            return Node(s, (a,), (0.5 / np.where(v == 0.0, np.inf, s),))
-        return s
-    if v < 0.0:
-        raise DomainError(f"sqrt of negative value {v!r}")
-    # unbounded derivative as v -> 0; record the distance like vpow does
+    if np.less(v, 0.0).any():
+        raise DomainError(f"sqrt of negative value {float(np.min(v))!r}")
+    # unbounded derivative as v -> 0
     report_margin(v)
-    s = math.sqrt(v)
+    s = np.sqrt(v)
     if isinstance(a, Node):
-        d = 0.0 if v == 0.0 else 0.5 / s
-        return Node(s, (a,), (d,))
+        # 0.5 / inf is the zero partial at v == 0
+        return Node(s, (a,), (0.5 / np.where(v == 0.0, np.inf, s),))
     return s
 
 
 def _sigmoid(x):
-    if type(x) is not float and isinstance(x, np.ndarray):
-        # exp(-|x|) is exp(-x) on the x >= 0 rows and exp(x) on the others
-        e = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    # exp(-|x|) is exp(-x) on the x >= 0 rows and exp(x) on the others
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def vsigmoid(a):
@@ -471,8 +427,8 @@ def vsigmoid(a):
 
 
 def pow_parts(av, bv):
-    """Value and base partial of av ** bv on arrays, with vpow's base-0
-    conventions and without its domain checks."""
+    """Value and base partial of av ** bv, with vpow's base-0 conventions
+    and without its domain checks."""
     av = np.asarray(av, dtype=float)
     bv = np.asarray(bv, dtype=float)
     zero = av == 0.0
@@ -486,47 +442,20 @@ def pow_parts(av, bv):
     return v, da
 
 
-def _pow_batch(av, bv, need_db):
-    """Value and partials of av ** bv when either side is an array."""
-    av = np.asarray(av, dtype=float)
-    bv = np.asarray(bv, dtype=float)
+def vpow(a, b):
+    """a ** b for a >= 0, with 0 ** 0 == 1 and zero partials on the base-0 set."""
+    an, bn = isinstance(a, Node), isinstance(b, Node)
+    av = np.asarray(val(a), dtype=float)
+    bv = np.asarray(val(b), dtype=float)
     if (av < 0.0).any():
         raise DomainError("pow with negative base")
     zero = av == 0.0
     if (zero & (bv < 0.0)).any():
         raise DomainError("pow of zero base with negative exponent")
+    # the derivative in the base blows up as base -> 0 whenever exp < 1
+    report_margin(lambda: np.where(bv < 1.0, av, np.inf))
     v, da = pow_parts(av, bv)
-    db = np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av))) if need_db else None
-    return v, da, db
-
-
-def vpow(a, b):
-    """a ** b for a >= 0, with 0 ** 0 == 1 and zero partials on the base-0 set."""
-    an = isinstance(a, Node)
-    bn = isinstance(b, Node)
-    av = a.value if an else a
-    bv = b.value if bn else b
-    if (type(av) is not float and isinstance(av, np.ndarray)) or (
-        type(bv) is not float and isinstance(bv, np.ndarray)
-    ):
-        v, da, db = _pow_batch(av, bv, bn)
-    else:
-        if av < 0.0:
-            raise DomainError(f"pow with negative base {av!r}")
-        if av == 0.0 and bv < 0.0:
-            raise DomainError("pow of zero base with negative exponent")
-        # The derivative in the base blows up as base -> 0 whenever exp < 1;
-        # record the distance so gradient checks can steer clear.
-        if bv < 1.0:
-            report_margin(av)
-        if av == 0.0:
-            v = 1.0 if bv == 0.0 else 0.0
-            da = 1.0 if bv == 1.0 else 0.0
-            db = 0.0
-        else:
-            v = av**bv
-            da = bv * av ** (bv - 1.0)
-            db = v * math.log(av)
+    db = np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av))) if bn else None
     if an and bn:
         return Node(v, (a, b), (da, db))
     if an:
@@ -546,7 +475,7 @@ def grad(root, wrt: Sequence[Node]) -> dict[Node, object]:
     `wrt` that the root does not depend on get partial 0.  For a root over
     a batch axis the rows are independent samples, so each row of a
     partial is that sample's own derivative; a partial that is the same
-    for every row may come back as a float.
+    for every row may come back as a scalar.
     """
     wanted = list(wrt)
     if not isinstance(root, Node):
@@ -573,27 +502,19 @@ def grad(root, wrt: Sequence[Node]) -> dict[Node, object]:
             topo.append(node)
 
     root.adjoint = 1.0
-    if isinstance(root.value, np.ndarray):
-        # a node could be skipped only if every row of its adjoint were 0;
-        # a unit partial (add, sub, neg, a clamp's pass-through) needs no
-        # multiply, and a - b is a + (-b) bit for bit
-        for node in reversed(topo):
-            a = node.adjoint
-            for p, d in zip(node.parents, node.partials):
-                if type(d) is float:
-                    if d == 1.0:
-                        p.adjoint += a
-                        continue
-                    if d == -1.0:
-                        p.adjoint -= a
-                        continue
-                p.adjoint += a * d
-    else:
-        for node in reversed(topo):
-            a = node.adjoint
-            if a != 0.0:
-                for p, d in zip(node.parents, node.partials):
-                    p.adjoint += a * d
+    # a unit partial (add, sub, neg, a clamp's pass-through) needs no
+    # multiply, and a - b is a + (-b) bit for bit
+    for node in reversed(topo):
+        a = node.adjoint
+        for p, d in zip(node.parents, node.partials):
+            if type(d) is float:
+                if d == 1.0:
+                    p.adjoint += a
+                    continue
+                if d == -1.0:
+                    p.adjoint -= a
+                    continue
+            p.adjoint += a * d
 
     return {n: (n.adjoint if n in visited else 0.0) for n in wanted}
 

@@ -155,7 +155,7 @@ def _eval_command(args):
     compiled = f
     if backend.impl is None:
         compiled = push_negations(f, rewrite_implication=True)
-    loss = float(loss_function(compiled, backend)(env))
+    loss = loss_function(compiled, backend)(env)
     print(f"crisp: {'true' if eval_crisp(f, env) else 'false'}")
     if backend.impl is not None:
         print(f"truth: {1.0 - loss:.6g}")

@@ -71,6 +71,17 @@ def check_noise_frac(noise_frac):
         raise ValueError(f"noise_frac must be in [0, 1), got {noise_frac}")
 
 
+def check_synthetic_sizes(n_classes, dims):
+    """Each pair of classes shares a site with a private axis, dimension
+    2 + s, so the generator needs at least 3 classes and 2 +
+    ceil(n_classes / 2) dims."""
+    if n_classes < 3:
+        raise ValueError(f"n_classes={n_classes!r}: the synthetic generator needs at least 3 classes")
+    need = 2 + (n_classes + 1) // 2
+    if dims < need:
+        raise ValueError(f"dims={dims!r}: the synthetic generator needs dims >= {need} for {n_classes} classes")
+
+
 def gen_synthetic(seed, n_train, n_test, n_classes, dims, noise_frac):
     """Generate (train, test) paired-site datasets; deterministic per seed.
 
@@ -80,14 +91,10 @@ def gen_synthetic(seed, n_train, n_test, n_classes, dims, noise_frac):
     a stream separate from the noise stream, so changing noise_frac does
     not move the points.
     """
-    if n_classes < 3:
-        raise ValueError("need at least 3 classes")
+    check_synthetic_sizes(n_classes, dims)
     check_noise_frac(noise_frac)
-    n_sites = (n_classes + 1) // 2
-    if n_train < 1 or n_test < 1 or dims < 2 + n_sites:
-        raise ValueError(
-            f"invalid sizes (need dims >= {2 + n_sites} for {n_classes} classes)"
-        )
+    if n_train < 1 or n_test < 1:
+        raise ValueError(f"invalid sizes: need n_train and n_test >= 1, got {n_train} and {n_test}")
 
     feature_rng = np.random.default_rng([seed, 0])
     train = _pair_split(feature_rng, n_train, n_classes, dims, "train")

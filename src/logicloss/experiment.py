@@ -30,7 +30,7 @@ from logicloss.constraints import (
     lipschitz_formula,
     synthetic_tables,
 )
-from logicloss.data import Dataset, check_noise_frac, gen_synthetic, load_idx
+from logicloss.data import Dataset, check_noise_frac, check_synthetic_sizes, gen_synthetic, load_idx
 from logicloss.formula import (
     _is_index,
     batch_env,
@@ -81,10 +81,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("epochs", "batch_size", "n_train", "n_test", "n_classes", "dims"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
-        if any(width < 1 for width in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
+            _count(key, getattr(self, key))
+        for width in self.hidden:
+            _count("hidden widths", width)
+        if not _is_index(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.dataset == "synthetic":
+            check_synthetic_sizes(self.n_classes, self.dims)
         _check_lambda(self.lam)
         # The checks each value meets later in a run, made here so that a bad
         # value fails before any data is loaded, under its own key.
@@ -168,10 +171,12 @@ def load_config(path):
     try:
         return ExperimentConfig(**values)
     except ValueError:
-        # a check reads one key, or one key and the constraint and dataset it
-        # is paired with, so a bad key also fails on its own or with those
-        paired_with = {k: values[k] for k in ("constraint", "dataset") if k in values}
-        for context in ({}, paired_with):
+        # a check reads one key and the dataset, or those and the constraint
+        # it pairs with or the class count it sizes against, so a bad key
+        # also fails with those alone
+        dataset = {k: values[k] for k in ("dataset",) if k in values}
+        partners = [{**dataset, k: values[k]} for k in ("constraint", "n_classes") if k in values]
+        for context in [dataset, *partners]:
             for key, value in values.items():
                 try:
                     ExperimentConfig(**{**context, key: value})

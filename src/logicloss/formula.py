@@ -27,10 +27,12 @@ left-nested And.  No node of a parsed formula names a variable, so
 supplies are integers of any integer type; a bool or a fractional member
 is a ParseError.
 
-A formula is evaluated on an `Env`: one sample's numbers, or a whole
-batch, each of whose vectors is one (entries, batch) matrix.  `expr_fn`
-serves both, and on matrices norm2 is one difference, one square and one
-sum over the entry axis, added in the order of the per-sample loop.
+A formula is evaluated on a batch's `Env`, each of whose vectors is one
+(entries, batch) matrix; `expr_fn` is the one evaluator of its
+arithmetic, and norm2 is one difference, one square and one sum over the
+entry axis, added in entry order.  One sample is a batch of one:
+`batch_of_one` turns one sample's numbers into (entries, 1) matrices, and
+`eval_crisp` and the compiled losses unwrap its result to a Python scalar.
 """
 
 from __future__ import annotations
@@ -180,13 +182,13 @@ class UnboundReference(LookupError):
 
 @dataclass
 class Env:
-    """Value bindings for one sample (or one sample pair).
+    """Value bindings for a batch, or for one sample (or sample pair).
 
-    For one sample a vector is a sequence of numbers (or of scalar tape
-    nodes).  For a batch it is one matrix whose rows are the vector's
+    For a batch each vector is one matrix whose rows are the vector's
     entries and whose columns are the samples (the transposed outputs or
     inputs of the batch), or a tape node holding such a matrix; `out[i]`
-    then reads row i, an array over the batch.
+    reads row i, an array over the batch.  For one sample a vector is a
+    sequence of numbers, which `batch_of_one` makes a one-column matrix.
     """
 
     outputs: Sequence = ()
@@ -202,6 +204,21 @@ class Env:
         if ref == "in":
             return self.inputs
         return self.inputs2
+
+
+def batch_of_one(env: Env) -> Env | None:
+    """One sample's bindings as a batch of one: each vector of numbers as
+    an (entries, 1) matrix, and an empty vector left empty.  None when
+    `env` already binds a batch's matrices."""
+    vectors = (env.outputs, env.inputs, env.outputs2, env.inputs2)
+    if any(_is_matrix(v) for v in vectors):
+        return None
+    if any(isinstance(x, Node) for v in vectors for x in v):
+        raise TypeError(
+            "a one-sample Env binds numbers; to differentiate one sample, bind "
+            "var(m) for its (entries, 1) matrix m instead of a node per entry"
+        )
+    return Env(*(np.asarray(v, dtype=float)[:, None] if len(v) else v for v in vectors))
 
 
 def sample_rows(n: int, paired: bool) -> tuple[int, tuple]:
@@ -767,7 +784,8 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
 
     The one evaluator of "+ - *", sum and norm2: the crisp evaluator and
     every loss semantics call it.  It returns whatever the bindings hold
-    arithmetic over: floats, arrays over a batch axis, or tape nodes.
+    arithmetic over: arrays over a batch axis or tape nodes holding them,
+    or a scalar where an expression reads no entry.
     """
     if isinstance(e, Const):
         c = e.value
@@ -805,15 +823,8 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
                 raise UnboundReference(f"norm2({lref} - {rref}): a vector is not bound")
             if na != nb:
                 raise UnboundReference(f"norm2({lref} - {rref}): vector lengths differ")
-            if _is_matrix(a) and _is_matrix(b):
-                # the float fold below, for every sample at once
-                d = a - b
-                return vsqrt(sum_entries(d * d))
-            total = 0.0
-            for x, y in zip(a, b):
-                d = x - y
-                total = total + d * d
-            return vsqrt(total)
+            d = a - b
+            return vsqrt(sum_entries(d * d))
         return run
     raise TypeError(f"not an expression: {e!r}")
 
@@ -821,11 +832,11 @@ def expr_fn(e: Expr) -> Callable[[Env], object]:
 def crisp_fn(f: Formula) -> Callable[[Env], bool]:
     """Compile a formula to a classical (two-valued) evaluator.
 
-    The evaluator takes the bindings of one sample (floats) and returns a
-    bool, or the bindings of a whole batch (each vector entry an array over
-    the batch axis) and returns a boolean array with one entry per sample.
-    The connectives short-circuit on a scalar and apply elementwise
-    (&, |, ~) once a value is an array.
+    The evaluator takes the bindings of a batch and returns a boolean
+    array with one entry per sample (a scalar where the formula reads no
+    entry).  Both sides of every connective are evaluated, elementwise;
+    np.logical_* also serve the Python bool of a constant comparison,
+    where ~True would be -2.
     """
     if isinstance(f, Cmp):
         fl, fr = expr_fn(f.left), expr_fn(f.right)
@@ -833,34 +844,27 @@ def crisp_fn(f: Formula) -> Callable[[Env], bool]:
         return lambda env: op(fl(env), fr(env))
     if isinstance(f, And):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        def run(env):
-            a = fl(env)
-            return a & fr(env) if isinstance(a, np.ndarray) else a and fr(env)
-        return run
+        return lambda env: np.logical_and(fl(env), fr(env))
     if isinstance(f, Or):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        def run(env):
-            a = fl(env)
-            return a | fr(env) if isinstance(a, np.ndarray) else a or fr(env)
-        return run
+        return lambda env: np.logical_or(fl(env), fr(env))
     if isinstance(f, Implies):
         fl, fr = crisp_fn(f.left), crisp_fn(f.right)
-        def run(env):
-            a = fl(env)
-            return ~a | fr(env) if isinstance(a, np.ndarray) else (not a) or fr(env)
-        return run
+        return lambda env: np.logical_or(np.logical_not(fl(env)), fr(env))
     if isinstance(f, Not):
         fb = crisp_fn(f.body)
-        def run(env):
-            b = fb(env)
-            return ~b if isinstance(b, np.ndarray) else not b
-        return run
+        return lambda env: np.logical_not(fb(env))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def eval_crisp(f: Formula, env: Env) -> bool:
-    """Classical truth of a formula under the given bindings."""
-    return crisp_fn(f)(env)
+def eval_crisp(f: Formula, env: Env):
+    """Classical truth of a formula under the given bindings: a bool for
+    one sample's numbers, scored as a batch of one, or crisp_fn's array
+    for a batch's matrices."""
+    one = batch_of_one(env)
+    if one is None:
+        return crisp_fn(f)(env)
+    return bool(np.asarray(crisp_fn(f)(one)).item())
 
 
 def uses_paired_samples(f: Formula) -> bool:

@@ -6,11 +6,12 @@ worse violation, conjunction adds, disjunction multiplies.  The second family
 works in fuzzy truth values on [0,1] built from a t-norm, its s-norm, and a
 fuzzy implication; the training loss is then 1 - truth.
 
-All operator functions accept plain floats, arrays over a batch axis, or
-autodiff Nodes holding either, and return the same kind, so one
-implementation serves batched training, per-sample evaluation, and the
-finite-difference oracles.  On a batch, every branch below is a masked
-select (`autodiff.select`) that applies the scalar rule row by row.
+All operator functions accept arrays over a batch axis, scalars (a
+formula's constants), or autodiff Nodes holding either, and have one
+numpy body, so one implementation serves batched training, per-sample
+evaluation (one sample is a batch of one) and the finite-difference
+oracles.  Every branch below is a masked select (`autodiff.select`) that
+applies the scalar rule row by row.
 
 On a batch each vector of the `Env` is one (entries, batch) matrix, and a
 compiled conjunction adds a second array axis: conjuncts that differ only
@@ -25,8 +26,7 @@ would get compiled alone, and the tape holds one copy of the template and
 one reduction, however many conjuncts there are.  The reduction runs in
 the fold's order, so it equals the left fold by the backend's conjunction
 bit for bit (Yager steps through the conjuncts one at a time, on bare
-arrays, off the tape).  On floats each conjunct runs its own closure, the
-fold runs pairwise, and numpy is never called.
+arrays, off the tape), and records the fold's branch margins.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -34,8 +34,9 @@ Branch conventions worth knowing:
     measure-zero set.
   - Godel and Goguen implications branch on x <= y (not x < y) so that
     I(0,0) = 1 and Goguen never divides by zero for arguments in [0,1].
-  - Fuzzy backend operators clamp their float spill back into [0,1] with a
-    pass-through (unit-derivative) node; the raw operator functions do not.
+  - Fuzzy backend operators clamp their rounding spill back into [0,1]
+    with a pass-through (unit-derivative) node; the raw operator functions
+    do not.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .formula import (
     UnboundReference,
     _entry_count,
     _is_matrix,
+    batch_of_one,
     conjuncts,
     expr_fn,
     template,
@@ -123,6 +125,7 @@ def agg_product(x):
 
 def agg_godel(x):
     # the fold's min(a, b) keeps a on ties: the first argmin takes the gradient
+    report_margin(lambda: np.minimum.accumulate(x[..., :-1], axis=-1), x[..., 1:], slots=True)
     d = (np.arange(x.shape[-1]) == x.argmin(axis=-1)[..., None]).astype(float)
     return x.min(axis=-1), d
 
@@ -136,9 +139,19 @@ def agg_lukasiewicz(x):
     z[..., 0] = x[..., 0]
     z[..., 1::2] = x[..., 1:]
     steps = np.add.accumulate(z, axis=-1)
+    report_margin(lambda: _lukasiewicz_fold_steps(steps[..., 2::2], x[..., 1:]), slots=True)
     live = (steps[..., 2::2] > 0.0).all(axis=-1)
     d = np.broadcast_to(live[..., None], x.shape).astype(float)
     return np.where(live, steps[..., -1], 0.0), d
+
+
+def _lukasiewicz_fold_steps(sums, x):
+    """The fold's step before its max with 0, each conjunct after the
+    first: the running sum while every step so far is live, x_k - 1 once
+    the fold is pinned at 0."""
+    live = np.ones(sums.shape, dtype=bool)
+    live[..., 1:] = np.logical_and.accumulate(sums[..., :-1] > 0.0, axis=-1)
+    return np.where(live, sums, x - 1.0)
 
 
 def agg_yager(x, p: float = 2.0):
@@ -152,8 +165,12 @@ def agg_yager(x, p: float = 2.0):
     for xk in cols[1:]:
         ua, da = pow_parts(1.0 - acc, p)
         ux, dx = pow_parts(1.0 - xk, p)
-        w, dw = pow_parts(ua + ux, 1.0 / p)
+        base = ua + ux
+        if p > 1.0:
+            report_margin(base)  # the root's slope is unbounded as base -> 0
+        w, dw = pow_parts(base, 1.0 / p)
         s = 1.0 - w
+        report_margin(s)
         live = s > 0.0
         dw = np.where(live, dw, 0.0)
         to_acc.append(dw * da)
@@ -203,13 +220,8 @@ def n_standard(x):
 
 def i_godel(x, y):
     xv, yv = val(x), val(y)
-    le = xv <= yv  # an array iff either side is one
-    if type(le) is not bool and isinstance(le, np.ndarray):
-        return select(le, 1.0, y)
-    report_margin(abs(xv - yv))
-    if le:
-        return 1.0
-    return y
+    report_margin(xv, yv)
+    return select(np.less_equal(xv, yv), 1.0, y)
 
 
 def i_kleene_dienes(x, y):
@@ -227,18 +239,13 @@ def i_yager(x, y):
 
 def i_goguen(x, y):
     xv, yv = val(x), val(y)
-    le = xv <= yv
-    if type(le) is not bool and isinstance(le, np.ndarray):
-        divide = xv > yv
-        if not divide.any():
-            return 1.0
-        # rows that return 1 divide by a stand-in 1, so their x may be 0
-        return select(divide, y / select(divide, x, 1.0), 1.0)
-    report_margin(abs(xv - yv))
-    if le:
+    report_margin(xv, yv)
+    divide = np.greater(xv, yv)
+    report_margin(lambda: np.where(divide, xv, np.inf))  # y/x steepens without bound as x -> 0
+    if not divide.any():
         return 1.0
-    report_margin(xv)  # y/x steepens without bound as x -> 0
-    return y / x
+    # rows that return 1 divide by a stand-in 1, so their x may be 0
+    return select(divide, y / select(divide, x, 1.0), 1.0)
 
 
 def i_reichenbach(x, y):
@@ -255,18 +262,11 @@ def _clip01(x):
     Used to absorb last-ulp float spill (and the sigmoid's residue at its
     endpoints) without flattening the gradient the way a min/max clamp would.
     """
-    v = val(x)
-    if type(v) is not float and isinstance(v, np.ndarray):
-        if v.min() >= 0.0 and v.max() <= 1.0:
-            return x
-        c = np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
-        return Node(c, (x,), (1.0,)) if isinstance(x, Node) else c
-    c = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-    if isinstance(x, Node):
-        if c == v:
-            return x
-        return Node(c, (x,), (1.0,))
-    return c
+    v = np.asarray(val(x))
+    if v.min() >= 0.0 and v.max() <= 1.0:
+        return x
+    c = np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
+    return Node(c, (x,), (1.0,)) if isinstance(x, Node) else c
 
 
 def sigmoidal_truth(u, s: float = 9.0):
@@ -326,11 +326,8 @@ def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
 
 def _dl2_eq_indicator(x, y):
     xv, yv = val(x), val(y)
-    eq = xv == yv
-    if type(eq) is not bool and isinstance(eq, np.ndarray):
-        return eq.astype(float)
-    report_margin(abs(xv - yv))
-    return 1.0 if eq else 0.0
+    report_margin(xv, yv)
+    return np.equal(xv, yv).astype(float)
 
 
 def dl2_atom(op: str, x, y, xi: float = 1.0):
@@ -535,15 +532,14 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
 def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     """The left fold, by `backend.conj`, of the conjuncts `parts`.
 
-    On floats each conjunct runs its own closure and the fold runs as
-    written.  On a batch the whole conjunction is one node:
-    `backend.conj_n` reduces an array whose last axis holds the conjuncts
-    in their order.  Conjuncts that share a template (`formula.template`)
-    fill their slots from one run of the first member's closure, on an Env
-    whose entries are (batch, members) arrays, one gather per slot from the
-    batch's matrix; the other members' closures are compiled only if floats
-    ever need them.  Inside an enclosing template, whose entries are
-    already (batch, members) arrays, each conjunct runs alone.
+    The whole conjunction is one node: `backend.conj_n` reduces an array
+    whose last axis holds the conjuncts in their order, bit for bit the
+    fold.  Conjuncts that share a template (`formula.template`) fill their
+    slots from one run of the first member's closure, on an Env whose
+    entries are (batch, members) arrays, one gather per slot from the
+    batch's matrix.  Inside an enclosing template, whose entries are
+    already (batch, members) arrays, each conjunct runs alone; the other
+    members' closures are compiled only then.
     """
     if len(parts) == 1:
         return truth_function(parts[0], backend)
@@ -566,14 +562,8 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     fns = [None if j in later else truth_function(g, backend) for j, g in enumerate(parts)]
     singles = tuple(j for j in range(len(parts)) if j not in grouped)
     shared = tuple((fns[js[0]], js, outs, ins) for js, outs, ins in shared)
-    conj, conj_n = backend.conj, backend.conj_n
+    conj_n = backend.conj_n
     reads = tuple(tops.items())
-
-    def fold(values):
-        acc = values[0]
-        for value in values[1:]:
-            acc = conj(acc, value)
-        return acc
 
     def run(env):
         if reads and _is_matrix(env.vector(reads[0][0])):
@@ -585,21 +575,13 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
                 stacked = Env(outputs=_stacked(env.outputs, outs), inputs=_stacked(env.inputs, ins))
                 pieces.append((fn(stacked), js))
             return aggregate(pieces, conj_n)
-        # floats, or the (batch, members) entries of an enclosing template:
-        # every conjunct runs its own closure
+        # the (batch, members) entries of an enclosing template, or no
+        # shared template: every conjunct runs its own closure
         if None in fns:
             fns[:] = [fn or truth_function(g, backend) for fn, g in zip(fns, parts)]
-        values = [fn(env) for fn in fns]
-        if any(_on_batch(v) for v in values):
-            return aggregate(list(zip(values, range(len(values)))), conj_n)
-        return fold(values)
+        return aggregate([(fn(env), j) for j, fn in enumerate(fns)], conj_n)
 
     return run
-
-
-def _on_batch(x) -> bool:
-    v = x.value if isinstance(x, Node) else x
-    return type(v) is not float and isinstance(v, np.ndarray)
 
 
 def _slots(indices):
@@ -625,10 +607,18 @@ def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     """Compile a formula to a training loss: 0 iff satisfied, larger is worse.
 
     Fuzzy truth t becomes the loss 1 - t; a violation measure is already a
-    loss and passes through.
+    loss and passes through.  On a batch's Env the loss is one value per
+    sample (a node when the Env holds nodes); on one sample's numbers it
+    is that sample scored as a batch of one, as a Python float.
     """
-    fn = truth_function(f, backend)
-    if backend.polarity == ZERO_WHEN_TRUE:
-        return fn
-    return lambda env: 1.0 - fn(env)
+    truth = truth_function(f, backend)
+    fn = truth if backend.polarity == ZERO_WHEN_TRUE else lambda env: 1.0 - truth(env)
+
+    def loss(env):
+        one = batch_of_one(env)
+        if one is None:
+            return fn(env)
+        return np.asarray(fn(one), dtype=float).item()
+
+    return loss
 

@@ -5,6 +5,9 @@ in test_autodiff.py.  `forward_nodes` and `tape_loss` run one sample
 through the whole network on the scalar tape, one node per weight, so the
 closed-form batched backprop in `network.loss_gradients` has a second,
 independent derivative path.  Both are far too slow to train with.
+`sample_loss` feeds one sample's scalar tape nodes to a compiled loss
+through one (entries, 1) leaf and chains the leaf's gradient back into
+the scalar tape.
 `dense_forward_batch` and `dense_loss_gradients` are the dense path as it
 was first written, with separate softmax and log-softmax passes, a one-hot
 CE gradient and the pre-activations kept for the ReLU mask; the library's
@@ -15,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from logicloss.autodiff import var, vexp, vln, vmax
+from logicloss.autodiff import Node, grad, val, var, vexp, vln, vmax
 from logicloss.formula import Env
 from logicloss.logics import loss_function
 from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
@@ -63,13 +66,29 @@ def forward_nodes(m, x):
     return probs, wnodes, bnodes
 
 
+def sample_loss(fn, outputs, inputs=()):
+    """`fn` on one sample whose outputs may be scalar tape nodes.
+
+    The outputs are read through one (entries, 1) leaf; the result is one
+    scalar node whose partials by the output nodes are the leaf's gradient,
+    or a float when `fn` does not reach the tape.
+    """
+    leaf = var(np.array([[float(val(p))] for p in outputs]))
+    lv = fn(Env(outputs=leaf, inputs=np.asarray(inputs, dtype=float).reshape(-1, 1)))
+    value = np.asarray(val(lv), dtype=float).item()
+    if not isinstance(lv, Node):
+        return value
+    g = np.broadcast_to(grad(lv, [leaf])[leaf], leaf.value.shape)[:, 0]
+    parents = [(p, float(d)) for p, d in zip(outputs, g) if isinstance(p, Node)]
+    return Node(value, tuple(p for p, _ in parents), tuple(d for _, d in parents))
+
+
 def tape_loss(m, x, y, lam=0.0, backend=None, constraint=None):
     """Scalar tape of ce + lam*logic for one sample."""
     probs, wnodes, bnodes = forward_nodes(m, x)
     loss = 0.0 - vln(probs[int(y)])
     if lam > 0.0 and constraint is not None:
-        fn = loss_function(constraint, backend)
-        loss = loss + lam * fn(Env(outputs=probs, inputs=[float(v) for v in x]))
+        loss = loss + lam * sample_loss(loss_function(constraint, backend), probs, x)
     return loss, wnodes, bnodes
 
 

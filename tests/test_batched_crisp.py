@@ -3,12 +3,15 @@
 `constraint_accuracy` scores a whole test set with one call of the crisp
 evaluator: each output and input column is an array over the samples, and
 a paired constraint reads the even rows against the odd rows.  The
-reference is the loop it replaced, one call per sample (or sample pair) on
-plain floats.  Both paths run the same IEEE comparisons, sums and products
-in the same order, so the booleans and the percentage must agree exactly.
+reference is the loop it replaced, one `eval_crisp` call per sample (or
+sample pair) on its numbers, each scored as a batch of one.  Both run the
+same IEEE comparisons, sums and products in the same order, so the
+booleans and the percentage must agree exactly.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ from logicloss.formula import (
     Env,
     Norm2Diff,
     Output,
+    batch_of_one,
     crisp_fn,
+    eval_crisp,
     expr_fn,
     uses_paired_samples,
 )
@@ -46,7 +51,6 @@ _FORMULAS = {
 
 def _scalar_reference(f, probs, X):
     """One crisp call per sample (pair) on Python floats; (hits, percent)."""
-    fn = crisp_fn(f)
     n = len(probs)
     paired = uses_paired_samples(f)
     units = [(i, i + 1) for i in range(0, n - 1, 2)] if paired else [(i,) for i in range(n)]
@@ -58,7 +62,7 @@ def _scalar_reference(f, probs, X):
             env = Env(outputs=outs[0], outputs2=outs[1], inputs=ins[0], inputs2=ins[1])
         else:
             env = Env(outputs=outs[0], inputs=ins[0])
-        hit = fn(env)
+        hit = eval_crisp(f, env)
         assert type(hit) is bool
         hits.append(hit)
     return hits, 100.0 * sum(hits) / len(hits)
@@ -196,23 +200,26 @@ def test_norm2_is_the_same_number_on_both_paths():
     # the same evaluator on tape leaves holding the matrices, as a loss sees them
     on_tape = norm(Env(outputs=var(a.T), outputs2=var(b.T)))
     assert isinstance(on_tape, Node) and on_tape.value.tolist() == batched.tolist()
+    # one sample at a time, each a batch of one
     for i in range(len(a)):
-        scalar = norm(Env(outputs=[float(v) for v in a[i]], outputs2=[float(v) for v in b[i]]))
-        assert type(scalar) is float and scalar == batched[i]
-    assert norm(Env(outputs=[0.5, 0.25], outputs2=[0.5, 0.25])) == 0.0
-    assert norm(Env(outputs=[3.0, 0.0], outputs2=[0.0, 4.0])) == 5.0
+        alone = norm(batch_of_one(Env(outputs=list(a[i]), outputs2=list(b[i]))))
+        assert alone.shape == (1,) and alone[0] == batched[i]
+    assert norm(batch_of_one(Env(outputs=[0.5, 0.25], outputs2=[0.5, 0.25]))) == 0.0
+    assert norm(batch_of_one(Env(outputs=[3.0, 0.0], outputs2=[0.0, 4.0]))) == 5.0
 
 
 @pytest.mark.parametrize("entries", [2, 9, 20])
 @pytest.mark.parametrize("batch", [1, 256])
 def test_norm2_on_matrices_is_the_float_fold_bit_for_bit(entries, batch):
-    """One sum over the entry axis adds in the float loop's order, also on
-    a single sample, where numpy would sum a column pairwise."""
+    """One sum over the entry axis adds in entry order, as a left fold over
+    the entries does, also on a single sample, where numpy would sum a
+    column pairwise."""
     rng = np.random.default_rng(entries * 1000 + batch)
     norm = expr_fn(Norm2Diff("in", "in'"))
     for _ in range(20):
         a, b = rng.normal(size=(2, batch, entries)) * rng.uniform(1e-3, 1e3, size=(2, batch, 1))
-        want = [norm(Env(inputs=[float(v) for v in a[i]], inputs2=[float(v) for v in b[i]])) for i in range(batch)]
+        d = a.T - b.T
+        want = np.sqrt(functools.reduce(operator.add, d * d)).tolist()
         # C-ordered matrices as training builds them, and transposed views
         for ins, ins2 in ((np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)), (a.T, b.T)):
             got = norm(Env(inputs=ins, inputs2=ins2))

@@ -2,11 +2,11 @@
 
 Training differentiates the constraint loss once per batch, with every
 tape value an array over the batch axis.  The reference here is the
-per-sample loop on plain floats: one scalar tape per sample (or sample
-pair), its gradient chained through the softmax one row at a time.  The
-two evaluate the same operators in a different order of summation and
-with numpy's elementwise exp/log/pow in place of the math module's, so
-they agree to a relative error of 1e-12, not bit for bit.
+per-sample loop: one tape per sample (or sample pair), each a batch of
+one whose probabilities are an (outputs, 1) leaf, its gradient chained
+through the softmax one row at a time.  The two sum the per-sample losses
+in a different order, so they agree to a relative error of 1e-12, not
+bit for bit.
 """
 
 import math
@@ -21,6 +21,7 @@ from logicloss.autodiff import (
     Node,
     grad,
     select,
+    track_branch_margins,
     val,
     var,
     vabs,
@@ -30,7 +31,7 @@ from logicloss.autodiff import (
     vsqrt,
 )
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
-from logicloss.formula import Env, push_negations
+from logicloss.formula import batch_env, push_negations
 from logicloss.logics import BACKEND_NAMES, _clip01, i_godel, i_goguen, loss_function, make_backend
 from logicloss.network import _logic_grads
 
@@ -57,7 +58,7 @@ def _compiled(backend_name, constraint):
 
 
 def _scalar_reference(fn, paired, probs, X, lam):
-    """Mean loss and logit gradient, one scalar tape per unit."""
+    """Mean loss and logit gradient, one tape per unit, a batch of one."""
     n = len(probs)
     d_logits = np.zeros_like(probs)
     units = [(i, i + 1) for i in range(0, n - 1, 2)] if paired else [(i,) for i in range(n)]
@@ -65,18 +66,13 @@ def _scalar_reference(fn, paired, probs, X, lam):
         return 0.0, d_logits
     total = 0.0
     for unit in units:
-        nodes = [[var(float(p)) for p in probs[i]] for i in unit]
-        inputs = [[float(x) for x in X[i]] for i in unit]
-        if paired:
-            env = Env(outputs=nodes[0], outputs2=nodes[1], inputs=inputs[0], inputs2=inputs[1])
-        else:
-            env = Env(outputs=nodes[0], inputs=inputs[0])
-        lv = fn(env)
-        total += val(lv)
+        leaves = [var(probs[i][:, None].copy()) for i in unit]
+        lv = fn(batch_env(leaves, [X[i][:, None] for i in unit]))
+        total += np.asarray(val(lv)).item()
         if isinstance(lv, Node):
-            g = grad(lv, [nd for row in nodes for nd in row])
-            for row, i in zip(nodes, unit):
-                gp = np.array([g[nd] for nd in row])
+            g = grad(lv, leaves)
+            for leaf, i in zip(leaves, unit):
+                gp = np.broadcast_to(g[leaf], leaf.value.shape)[:, 0]
                 p = probs[i]
                 d_logits[i] += p * (gp - gp @ p)
     k = len(units)
@@ -254,34 +250,43 @@ def test_a_uniform_mask_keeps_the_dead_branch_off_the_tape():
     assert not isinstance(select(mask, 1.0, np.zeros(3)), Node)
 
 
-def test_margins_are_recorded_on_the_float_path_only():
-    from logicloss.autodiff import track_branch_margins
+def _row_margins(margins, row):
+    """One row's margins from a batch's record; a scalar margin holds for
+    every row."""
+    return [float(x) for m in margins for x in np.ravel(m if np.ndim(m) == 0 else m[row])]
+
+
+def test_a_batch_records_per_row_the_margins_of_that_row_scored_alone():
+    rng = np.random.default_rng(9)
+    probs = rng.dirichlet(np.ones(N_CLASSES), size=6)
+    probs[1] = np.eye(N_CLASSES)[2]  # saturated: satisfied comparisons tie at 0
+    probs[3, 4] = probs[3, 5]  # a tie inside the row
+    X = rng.normal(size=(6, N_INPUTS))
+    for backend_name, constraint in COMBOS:
+        fn, paired = _compiled(backend_name, constraint)
+        with track_branch_margins() as batch:
+            _logic_grads(fn, paired, probs, X, LAM)
+        assert batch, (backend_name, constraint)
+        width = 2 if paired else 1
+        for u in range(len(probs) // width):
+            rows = slice(width * u, width * (u + 1))
+            with track_branch_margins() as alone:
+                _logic_grads(fn, paired, probs[rows], X[rows], LAM)
+            assert _row_margins(batch, u) == _row_margins(alone, 0), (backend_name, constraint, u)
+
+
+def test_margins_are_each_rows_distance_from_its_branch_boundary():
     from logicloss.logics import _dl2_eq_indicator
 
-    ops = (vmax, i_godel, i_goguen, _dl2_eq_indicator)
+    x, y = var(np.array([0.6, 0.1])), np.array([0.25, 0.3])
     with track_branch_margins() as margins:
-        for op in ops:
-            op(np.array([0.2, 0.6]), np.array([0.5, 0.3]))
-    assert margins == []
-    # a compiled loss still records the float constants it branches on (the
-    # |c| in fuzzy_le's denominator), but nothing of a batch's rows, so two
-    # different batches record the same margins
-    recorded = []
-    for seed, n in ((9, 6), (10, 3)):
-        rng = np.random.default_rng(seed)
-        probs = rng.dirichlet(np.ones(N_CLASSES), size=n)
-        X = rng.normal(size=(n, N_INPUTS))
-        with track_branch_margins() as margins:
-            for backend_name, constraint in COMBOS:
-                fn, paired = _compiled(backend_name, constraint)
-                _logic_grads(fn, paired, probs, X, LAM)
-        recorded.append(margins)
-    assert recorded[0] == recorded[1]
-    # the float path: |x - y| for each op, and i_goguen's divisor x
-    with track_branch_margins() as margins:
-        for op in ops:
-            op(var(0.6), 0.25)
-    assert margins == [pytest.approx(0.35)] * 3 + [0.6, pytest.approx(0.35)]
+        for op in (vmax, i_godel, i_goguen, _dl2_eq_indicator):
+            op(x, y)
+    # |x - y| for each op, and i_goguen's divisor x on the row that divides
+    want = [[0.35, 0.2]] * 3 + [[0.6, np.inf], [0.35, 0.2]]
+    assert len(margins) == len(want)
+    for got, w in zip(margins, want):
+        np.testing.assert_allclose(got, w, rtol=1e-15)
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
@@ -303,8 +308,7 @@ def test_ndarray_op_node_returns_a_node(op):
         assert g[i] == grad(apply(float(a[i]), xi), [xi])[xi]
 
 
-def test_float_path_stays_float():
+def test_a_scalar_node_takes_the_batch_body():
     out = i_goguen(var(0.5), var(0.2))
-    assert isinstance(out.value, float) and not isinstance(out.value, np.floating)
-    assert type(vpow(0.5, 2.0)) is float and type(vsqrt(0.25)) is float
-    assert math.isclose(val(out), 0.4)
+    assert np.ndim(out.value) == 0 and math.isclose(val(out), 0.4)
+    assert vpow(0.5, 2.0) == 0.25 and vsqrt(0.25) == 0.5

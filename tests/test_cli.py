@@ -283,3 +283,14 @@ def test_every_flag_in_the_readme_is_a_cli_option():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert flags, "no flags found in README.md"
     assert flags <= known, sorted(flags - known)
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1, "README.md should hold one Python API block"
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    loss, best = capsys.readouterr().out.splitlines()
+    assert 0.0 <= float(loss) <= 1.0
+    p_acc, c_acc = (float(v) for v in best.strip("()").split(","))
+    assert 0.0 <= p_acc <= 100.0 and 0.0 <= c_acc <= 100.0

@@ -93,6 +93,70 @@ def test_config_rejects_sizes_below_one(key, bad):
         ExperimentConfig(**{key: bad})
 
 
+def _no_data(monkeypatch):
+    def no_data(*args):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr(experiment, "gen_synthetic", no_data)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("batch_size", 64.0),
+        ("n_train", 100.5),
+        ("n_test", False),
+        ("n_classes", 10.0),
+        ("dims", "20"),
+    ],
+)
+def test_config_rejects_counts_that_are_not_integers_before_any_data_loads(monkeypatch, key, bad):
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1 and an integer, got {bad!r}"):
+        run(ExperimentConfig(**{key: bad}))
+
+
+@pytest.mark.parametrize("hidden", [(8.5,), (8, True)])
+def test_config_rejects_hidden_widths_that_are_not_integers(monkeypatch, hidden):
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match="^hidden widths must be >= 1 and an integer"):
+        run(ExperimentConfig(hidden=hidden))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.0, True, "0"])
+def test_config_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(monkeypatch, bad):
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {bad!r}"):
+        run(ExperimentConfig(seed=bad))
+
+
+def test_config_takes_numpy_integer_counts_and_seeds():
+    cfg = ExperimentConfig(epochs=np.int64(2), hidden=(np.int32(8),), seed=np.uint8(0))
+    assert cfg.epochs == 2 and cfg.seed == 0
+
+
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        ({"n_classes": 1}, "^n_classes=1: the synthetic generator needs at least 3 classes"),
+        ({"n_classes": 2, "dims": 9}, "^n_classes=2: "),
+        ({"dims": 3}, r"^dims=3: the synthetic generator needs dims >= 7 for 10 classes"),
+        ({"n_classes": 12, "dims": 7}, r"^dims=7: the synthetic generator needs dims >= 8 for 12 classes"),
+    ],
+)
+def test_config_checks_the_synthetic_sizes_before_any_data_loads(monkeypatch, sizes, message):
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run(ExperimentConfig(**sizes))
+    # the generator keeps the same rule
+    with pytest.raises(ValueError, match=message):
+        gen_synthetic(0, 10, 10, sizes.get("n_classes", 10), sizes.get("dims", 20), 0.0)
+    # another dataset does not need it
+    ExperimentConfig(dataset="idx:a,b", **sizes)
+
+
 @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)])
 def test_config_rejects_hidden_widths_below_one(hidden):
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
@@ -282,6 +346,8 @@ def test_load_config_names_the_file_and_line_of_a_value_that_fails_validation(tm
         ("backend = rc\nepochs = 0\n", ":2: ", "epochs must be >= 1, got 0"),
         ("# run\nlambda = 0.5\n\nbackend = nope\nseed = 1\n", ":4: ", "backend='nope': unknown backend"),
         ("epochs = 3\nhidden = 8,0\n", ":2: ", "hidden widths must be >= 1"),
+        # too few dims only for this many classes
+        ("n_classes = 30\ndims = 15\n", ":2: ", "dims=15: the synthetic generator needs dims >= 17"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError, match=message) as info:

@@ -461,11 +461,11 @@ def test_push_negated_forall_is_the_or_of_negated_instances():
     out = push_negations(Not(f))
     a = [Cmp("<", Output(i), Const(0.1)) for i in range(5)]
     assert out == Or(Or(Or(Or(a[0], a[1]), a[2]), a[3]), a[4])
-    negated = crisp_fn(out)
-    holds = crisp_fn(f)
     for outputs in ([0.2] * 5, [0.2, 0.05, 0.2, 0.2, 0.35], [0.0] * 5, [0.1] * 5):
         env = Env(outputs=outputs)
-        assert negated(env) is (not holds(env))
+        assert eval_crisp(out, env) is (not eval_crisp(f, env))
+    negated = crisp_fn(out)
+    holds = crisp_fn(f)
     rng = np.random.default_rng(3)
     probs = rng.choice([0.0, 0.05, 0.1, 0.3], size=(64, 5))
     probs[0] = 0.2  # a row where the forall holds
@@ -609,6 +609,21 @@ def test_ast_indices_reject_a_bool(node, bad):
 def test_ast_indices_take_numpy_integers(node, integer):
     assert node(integer(3)) == node(3)
     assert node(integer(0)).index == 0
+
+
+def test_a_connective_evaluates_both_sides_of_one_sample_as_of_a_batch():
+    f = parse("out[0] > 1 and out[2] < 0", CTX)
+    with pytest.raises(UnboundReference):
+        eval_crisp(f, Env(outputs=[0.3, 0.7]))
+    with pytest.raises(UnboundReference):
+        crisp_fn(f)(Env(outputs=np.array([[0.3], [0.7]])))
+
+
+def test_a_constant_comparison_is_a_bool_under_every_connective():
+    # ~True is -2: the connectives are np.logical_*, not bitwise
+    for text, want in (("not (1 <= 2)", False), ("(1 <= 2) -> (2 <= 1)", False),
+                       ("(2 <= 1) or not (2 <= 1)", True), ("(1 <= 2) and (1 <= 1)", True)):
+        assert eval_crisp(parse(text, CTX), Env()) is want, text
 
 
 def test_crisp_norm2_needs_both_vectors():

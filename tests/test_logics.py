@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,25 +107,27 @@ def _rand01(rng, n):
 
 
 def test_tnorm_axioms():
+    # 1e4 points, each operator applied to all of them as one batch
     rng = random.Random(11)
+    points = []
     for _ in range(10_000):
         x, y, z = _rand01(rng, 3)
-        y2 = min(1.0, y + rng.random() * (1.0 - y))
-        for name, t in TNORMS.items():
-            assert abs(t(x, y) - t(y, x)) <= 1e-12, name
-            assert abs(t(t(x, y), z) - t(x, t(y, z))) <= 1e-12, name
-            assert t(x, y) <= t(x, y2) + 1e-12, name  # monotone in y
-            assert abs(t(1.0, y) - y) <= 1e-12, name  # identity
+        points.append((x, y, z, min(1.0, y + rng.random() * (1.0 - y))))
+    x, y, z, y2 = np.array(points).T
+    for name, t in TNORMS.items():
+        assert np.all(np.abs(t(x, y) - t(y, x)) <= 1e-12), name
+        assert np.all(np.abs(t(t(x, y), z) - t(x, t(y, z))) <= 1e-12), name
+        assert np.all(t(x, y) <= t(x, y2) + 1e-12), name  # monotone in y
+        assert np.all(np.abs(t(1.0, y) - y) <= 1e-12), name  # identity
 
 
 def test_snorm_duality():
     rng = random.Random(12)
     pairs = [("G", "G"), ("LK", "LK"), ("YG", "YG"), ("P", "PS")]
-    for _ in range(10_000):
-        x, y = rng.random(), rng.random()
-        for tname, sname in pairs:
-            t, s = TNORMS[tname], SNORMS[sname]
-            assert abs(s(x, y) - (1.0 - t(1.0 - x, 1.0 - y))) <= 1e-12, sname
+    x, y = np.array([(rng.random(), rng.random()) for _ in range(10_000)]).T
+    for tname, sname in pairs:
+        t, s = TNORMS[tname], SNORMS[sname]
+        assert np.all(np.abs(s(x, y) - (1.0 - t(1.0 - x, 1.0 - y))) <= 1e-12), sname
 
 
 def test_norms_stay_in_unit_interval():
@@ -582,16 +585,22 @@ def test_fuzzy_loss_agrees_with_crisp_at_certainty():
 def test_compile_gradient_flows_to_outputs():
     f = parse("out[0] <= 0.5", CTX)
     rc = make_backend("rc")
-    x = var(0.7)
-    out = truth_function(f, rc)(Env(outputs=[x]))
+    x = var(np.array([[0.7]]))  # one sample: an (entries, 1) leaf
+    out = truth_function(f, rc)(Env(outputs=x))
     g = grad(out, [x])[x]
-    fd = finite_diff(lambda p: truth_function(f, rc)(Env(outputs=[p[0]])), [0.7])[0]
-    assert g == pytest.approx(fd, rel=1e-6)
+    fd = finite_diff(lambda p: 1.0 - loss_function(f, rc)(Env(outputs=[p[0]])), [0.7])[0]
+    assert g.item() == pytest.approx(fd, rel=1e-6)
 
 
 def test_compile_loss_value_node_retains_graph():
     f = parse("out[0] <= 0.5", CTX)
     dl2 = make_backend("dl2")
-    x = var(0.9)
-    loss = loss_function(f, dl2)(Env(outputs=[x]))
-    assert grad(loss, [x])[x] == 1.0
+    x = var(np.array([[0.9]]))
+    loss = loss_function(f, dl2)(Env(outputs=x))
+    assert grad(loss, [x])[x].item() == 1.0
+
+
+def test_a_one_sample_env_of_tape_nodes_names_the_leaf_to_use():
+    f = parse("out[0] <= 0.5", CTX)
+    with pytest.raises(TypeError, match=r"var\(m\) for its \(entries, 1\) matrix"):
+        loss_function(f, make_backend("rc"))(Env(outputs=[var(0.9), 0.1]))
