@@ -21,7 +21,7 @@ from logicloss.experiment import (
     select_result,
     write_report,
 )
-from logicloss.formula import Env, ParseContext, ParseError, eval_crisp, parse, push_negations
+from logicloss.formula import Env, ParseContext, ParseError, eval_crisp, parse
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
 from logicloss.network import TrainingDiverged
 
@@ -152,10 +152,7 @@ def _eval_command(args):
         outputs2=args.out2 or (),
         inputs2=args.inputs2 or (),
     )
-    compiled = f
-    if backend.impl is None:
-        compiled = push_negations(f, rewrite_implication=True)
-    loss = loss_function(compiled, backend)(env)
+    loss = loss_function(f, backend)(env)
     print(f"crisp: {'true' if eval_crisp(f, env) else 'false'}")
     if backend.impl is not None:
         print(f"truth: {1.0 - loss:.6g}")

@@ -35,7 +35,6 @@ from logicloss.formula import (
     _is_index,
     batch_env,
     crisp_fn,
-    push_negations,
     sample_rows,
     uses_paired_samples,
 )
@@ -53,6 +52,8 @@ LAMBDA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 
 CONSTRAINT_NAMES = ("csim", "group", "lipschitz")
 
 REPORT_HEADER = "Epoch,Train-CE-Loss,Train-L-Loss,Test-P-Acc,Test-C-Acc"
+
+SELECT_WINDOW = 10  # select_result scores the last this many epochs
 
 
 @dataclass
@@ -108,6 +109,10 @@ class ExperimentConfig:
                 check()
             except ValueError as exc:
                 raise ValueError(f"{key}={getattr(self, key)!r}: {exc}") from exc
+        # an idx dataset sets the class count, so `setup_run` checks its
+        # tables once it has loaded
+        if self.dataset == "synthetic":
+            _constraint(self)
         # the paired constraint scores consecutive samples two at a time, so a
         # batch or a synthetic split of one sample leaves it nothing to score
         if self.constraint == "lipschitz":
@@ -187,13 +192,26 @@ def load_config(path):
 
 def _resolve_tables(cfg):
     name = cfg.tables
-    if name == "auto":
-        if cfg.dataset == "synthetic":
-            return synthetic_tables(cfg.n_classes)
-        return builtin_tables("fmnist") if cfg.n_classes == 10 else synthetic_tables(cfg.n_classes)
-    if name == "synthetic":
-        return synthetic_tables(cfg.n_classes)
-    return builtin_tables(name)
+    if name == "auto":  # fmnist's tables for a 10-class idx dataset
+        name = "fmnist" if cfg.dataset != "synthetic" and cfg.n_classes == 10 else "synthetic"
+    return synthetic_tables(cfg.n_classes) if name == "synthetic" else builtin_tables(name)
+
+
+def _constraint(cfg):
+    """The constraint of `cfg`, built from its tables, which must hold what
+    it reads and name no class past `n_classes`; an error in them names
+    the key `tables`."""
+    try:
+        tables = _resolve_tables(cfg)
+        classes = {
+            "csim": [i for t in tables.triples for i in (t.l1, t.l2, t.l3)],
+            "group": [i for g in tables.groups for i in g.members],
+        }.get(cfg.constraint, ())
+        if max(classes, default=-1) >= cfg.n_classes:
+            raise ValueError(f"the {tables.dataset} tables name class {max(classes)}, past n_classes={cfg.n_classes}")
+        return build_constraint(cfg, tables)
+    except ValueError as exc:
+        raise ValueError(f"tables={cfg.tables!r}: {exc}") from exc
 
 
 def _check_constraint(name):
@@ -297,23 +315,20 @@ def _constraint_accuracy(fn, paired, probs, d):
 
 @dataclass(frozen=True)
 class RunSetup:
-    """What a run builds before its first step that does not read lambda.
+    """What a run builds before its first step, which serves every lambda.
 
     `cfg` has `n_classes` taken from an idx dataset; `train` and `test` are
     the two splits, with read-only arrays, so runs that share a set-up
-    cannot change each other's data; `constraint` is the formula scored on
-    the test set and `train_formula` the form a training backend reads
-    (negations pushed for a crisp backend), None when the set-up was made
-    for lambda 0 only.  Every field pickles, and an unpickled copy is
-    read-only too; the compiled loss and the crisp evaluator are closures,
-    so each run builds them from these fields.
+    cannot change each other's data; `constraint` is the formula trained
+    under and scored on the test set.  Every field pickles, and an
+    unpickled copy is read-only too; the compiled loss and the crisp
+    evaluator are closures, so each run builds them from these fields.
     """
 
     cfg: ExperimentConfig
     train: Dataset
     test: Dataset
     constraint: object
-    train_formula: object = None
 
     def __post_init__(self):
         for d in (self.train, self.test):
@@ -324,20 +339,12 @@ class RunSetup:
         return RunSetup, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
-def setup_run(cfg, logic):
-    """The RunSetup of `cfg`: the data, the tables and the constraint.
-    The training form is built only when `logic` says some run of this
-    set-up trains at a lambda above 0."""
+def setup_run(cfg):
+    """The RunSetup of `cfg`: the data, the tables and the constraint."""
     train, test = _load_data(cfg)
-    if train.n_classes != cfg.n_classes and cfg.dataset != "synthetic":
+    if cfg.dataset != "synthetic":
         cfg = dataclasses.replace(cfg, n_classes=train.n_classes)
-    constraint = build_constraint(cfg, _resolve_tables(cfg))
-    train_formula = None
-    if logic:
-        train_formula = constraint
-        if make_backend(cfg.backend).impl is None:
-            train_formula = push_negations(constraint, rewrite_implication=True)
-    return RunSetup(cfg, train, test, constraint, train_formula)
+    return RunSetup(cfg, train, test, _constraint(cfg))
 
 
 def train_run(setup, lam):
@@ -349,10 +356,8 @@ def train_run(setup, lam):
     backend = None
     train_term = None
     if lam > 0.0:
-        if setup.train_formula is None:
-            raise ValueError(f"lam={lam!r}: the set-up was made for lambda 0 only")
         backend = _training_backend(cfg)
-        train_term = compile_constraint(setup.train_formula, backend)
+        train_term = compile_constraint(constraint, backend)
 
     # compiled when the first epoch is scored, so the first step does not wait
     crisp = None
@@ -401,7 +406,7 @@ def run(cfg):
     `setup_run` then `train_run`; at lambda 0 no backend is built and
     nothing is compiled for training.
     """
-    return train_run(setup_run(cfg, cfg.lam > 0.0), cfg.lam)
+    return train_run(setup_run(cfg), cfg.lam)
 
 
 def _add_note(exc, note):
@@ -419,17 +424,16 @@ def error_message(exc):
     return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
 
 
-def select_result(reports, window=10, key="product"):
-    """(P, C) maximizing the combined score over the last `window` epochs.
+def select_result(reports, key="product"):
+    """(P, C) maximizing the combined score over the last SELECT_WINDOW epochs.
 
     Ties go to the later epoch.  Fewer reports than the window: use all.
     """
-    window = _count("window", window)
     if not reports:
         raise ValueError("no reports to select from")
     score = _score_fn(key)
     best = None
-    for r in reports[-window:]:
+    for r in reports[-SELECT_WINDOW:]:
         s = score(r.p_acc, r.c_acc)
         if best is None or s >= best[0]:
             best = (s, r.p_acc, r.c_acc)
@@ -490,7 +494,7 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
         _check_lambda(lam)
     score = _score_fn(key)
     jobs = _count("jobs", jobs)
-    setup = setup_run(cfg, any(lam > 0.0 for lam in grid))
+    setup = setup_run(cfg)
     if jobs == 1:
         results = [_sweep_point((setup, lam)) for lam in grid]
     else:

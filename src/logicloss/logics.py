@@ -76,12 +76,9 @@ from .formula import (
     batch_of_one,
     conjuncts,
     expr_fn,
+    push_negations,
     template,
 )
-
-
-class CompileError(ValueError):
-    """The chosen semantics cannot translate this formula as written."""
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +372,8 @@ class LogicBackend:
     conj: Callable
     conj_n: Callable  # conj over an array's last axis: (value, partials)
     disj: Callable
-    impl: Optional[Callable]  # None: rewrite implications away first
-    neg: Optional[Callable]  # None: push negations to comparisons first
+    impl: Optional[Callable]  # None: the compiler rewrites "->" and "not" away (dl2)
+    neg: Optional[Callable]  # None exactly when impl is None
     compare: Callable  # (op, x, y) -> truth or violation
     polarity: str
 
@@ -495,8 +492,27 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     """Compile a formula to the backend's native score (truth or violation).
 
     For fuzzy backends the result is a truth value in [0,1]; for a
-    violation-measure backend it is the non-negative violation itself.
+    violation-measure backend it is the non-negative violation itself.  A
+    backend without "->" and "not" (dl2) compiles the formula rewritten by
+    `push_negations(f, rewrite_implication=True)`.  On a batch's Env the
+    score is one value per sample (a node when the Env holds nodes); on
+    one sample's numbers it is that sample as a batch of one, a float.
     """
+    if backend.impl is None:
+        f = push_negations(f, rewrite_implication=True)
+    fn = _compile(f, backend)
+
+    def truth(env):
+        one = batch_of_one(env)
+        if one is None:
+            return fn(env)
+        return np.asarray(fn(one), dtype=float).item()
+
+    return truth
+
+
+def _compile(f, backend: LogicBackend) -> Callable[[Env], object]:
+    """`truth_function` on a batch, for a formula the backend reads as written."""
     if isinstance(f, Cmp):
         fl, fr = expr_fn(f.left), expr_fn(f.right)
         op = f.op
@@ -505,25 +521,15 @@ def truth_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     if isinstance(f, And):
         return _conjunction(conjuncts(f), backend)
     if isinstance(f, Or):
-        fl, fr = truth_function(f.left, backend), truth_function(f.right, backend)
+        fl, fr = _compile(f.left, backend), _compile(f.right, backend)
         disj = backend.disj
         return lambda env: disj(fl(env), fr(env))
     if isinstance(f, Implies):
-        if backend.impl is None:
-            raise CompileError(
-                f"backend {backend.name!r} has no implication; rewrite first with "
-                "push_negations(f, rewrite_implication=True)"
-            )
-        fl, fr = truth_function(f.left, backend), truth_function(f.right, backend)
+        fl, fr = _compile(f.left, backend), _compile(f.right, backend)
         impl = backend.impl
         return lambda env: impl(fl(env), fr(env))
     if isinstance(f, Not):
-        if backend.neg is None:
-            raise CompileError(
-                f"backend {backend.name!r} has no negation; push negations down to "
-                "comparisons first with push_negations(f)"
-            )
-        fb = truth_function(f.body, backend)
+        fb = _compile(f.body, backend)
         neg = backend.neg
         return lambda env: neg(fb(env))
     raise TypeError(f"not a formula: {f!r}")
@@ -542,7 +548,7 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     members' closures are compiled only then.
     """
     if len(parts) == 1:
-        return truth_function(parts[0], backend)
+        return _compile(parts[0], backend)
     members: dict = {}
     for j, g in enumerate(parts):
         t = template(g)
@@ -559,7 +565,7 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
                     tops[ref] = max(tops.get(ref, -1), *(i for ix in idx for i in ix))
     grouped = {j for js, _, _ in shared for j in js}
     later = grouped - {js[0] for js, _, _ in shared}
-    fns = [None if j in later else truth_function(g, backend) for j, g in enumerate(parts)]
+    fns = [None if j in later else _compile(g, backend) for j, g in enumerate(parts)]
     singles = tuple(j for j in range(len(parts)) if j not in grouped)
     shared = tuple((fns[js[0]], js, outs, ins) for js, outs, ins in shared)
     conj_n = backend.conj_n
@@ -578,7 +584,7 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
         # the (batch, members) entries of an enclosing template, or no
         # shared template: every conjunct runs its own closure
         if None in fns:
-            fns[:] = [fn or truth_function(g, backend) for fn, g in zip(fns, parts)]
+            fns[:] = [fn or _compile(g, backend) for fn, g in zip(fns, parts)]
         return aggregate([(fn(env), j) for j, fn in enumerate(fns)], conj_n)
 
     return run
@@ -607,18 +613,9 @@ def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     """Compile a formula to a training loss: 0 iff satisfied, larger is worse.
 
     Fuzzy truth t becomes the loss 1 - t; a violation measure is already a
-    loss and passes through.  On a batch's Env the loss is one value per
-    sample (a node when the Env holds nodes); on one sample's numbers it
-    is that sample scored as a batch of one, as a Python float.
+    loss and passes through.  Values come as from `truth_function`.
     """
     truth = truth_function(f, backend)
-    fn = truth if backend.polarity == ZERO_WHEN_TRUE else lambda env: 1.0 - truth(env)
-
-    def loss(env):
-        one = batch_of_one(env)
-        if one is None:
-            return fn(env)
-        return np.asarray(fn(one), dtype=float).item()
-
-    return loss
-
+    if backend.polarity == ZERO_WHEN_TRUE:
+        return truth
+    return lambda env: 1.0 - truth(env)

@@ -207,9 +207,9 @@ def test_criterion_4_hinge_loss_soundness():
             ]
             env = Env(outputs=outs)
             truth = eval_crisp(f, env)
-            rewritten = push_negations(f, rewrite_implication=True)
-            assert eval_crisp(rewritten, env) == truth
-            loss = loss_function(rewritten, backend)(env)
+            # the loss compiles the rewritten formula, which keeps the crisp truth
+            assert eval_crisp(push_negations(f, rewrite_implication=True), env) == truth
+            loss = loss_function(f, backend)(env)
             assert loss >= 0.0
             assert (loss == 0.0) == truth, (f, outs)
             n_true += truth
@@ -227,8 +227,7 @@ def test_criterion_5_gradient_matches_finite_differences():
         h = 1e-5
         sizes = [4, 8, 10]
         tables = synthetic_tables(10)
-        plain = csim_formula(tables.triples, 10)
-        rewritten = push_negations(plain, rewrite_implication=True)
+        csim = csim_formula(tables.triples, 10)
         backends = [make_backend(name) for name in BACKEND_NAMES]
 
         checked = 0
@@ -237,8 +236,7 @@ def test_criterion_5_gradient_matches_finite_differences():
             trial += 1
             assert trial < 2000, "resampling filter rejected too many points"
             backend = backends[checked % len(backends)]
-            f = rewritten if backend.impl is None else plain
-            fn = loss_function(f, backend)
+            fn = loss_function(csim, backend)
             m = init_model(sizes, seed=trial)
             rng = np.random.default_rng([11, trial])
             for w in m.weights:

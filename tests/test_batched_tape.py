@@ -31,7 +31,7 @@ from logicloss.autodiff import (
     vsqrt,
 )
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
-from logicloss.formula import batch_env, push_negations
+from logicloss.formula import batch_env
 from logicloss.logics import BACKEND_NAMES, _clip01, i_godel, i_goguen, loss_function, make_backend
 from logicloss.network import _logic_grads
 
@@ -51,10 +51,7 @@ COMBOS = [(b, c) for b in BACKEND_NAMES for c in _FORMULAS]
 
 def _compiled(backend_name, constraint):
     backend = make_backend(backend_name)
-    f = _FORMULAS[constraint]
-    if backend.impl is None:
-        f = push_negations(f, rewrite_implication=True)
-    return loss_function(f, backend), constraint == "lipschitz"
+    return loss_function(_FORMULAS[constraint], backend), constraint == "lipschitz"
 
 
 def _scalar_reference(fn, paired, probs, X, lam):

@@ -290,7 +290,8 @@ def test_readme_python_api_block_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 1, "README.md should hold one Python API block"
     exec(compile(blocks[0], "README.md", "exec"), {})
-    loss, best = capsys.readouterr().out.splitlines()
-    assert 0.0 <= float(loss) <= 1.0
+    *losses, best = capsys.readouterr().out.splitlines()
+    truth, rc_loss, dl2_loss = (float(v) for v in losses)
+    assert 0.0 < truth < 1.0 and rc_loss == 1.0 - truth and dl2_loss > 0.0
     p_acc, c_acc = (float(v) for v in best.strip("()").split(","))
     assert 0.0 <= p_acc <= 100.0 and 0.0 <= c_acc <= 100.0

@@ -25,7 +25,6 @@ from logicloss.formula import (
     batch_env,
     conjuncts,
     parse,
-    push_negations,
     sample_rows,
     template,
     uses_paired_samples,
@@ -100,10 +99,7 @@ COMBOS = [(b, name) for b in BACKEND_NAMES for name in _FORMULAS]
 
 def _compiled(backend_name, name):
     backend = make_backend(backend_name)
-    f = _FORMULAS[name]
-    if backend.impl is None:
-        f = push_negations(f, rewrite_implication=True)
-    return backend, f
+    return backend, _FORMULAS[name]
 
 
 def _batches():

@@ -43,7 +43,6 @@ from logicloss.formula import (
     conjoin,
     conjuncts,
     parse,
-    push_negations,
 )
 from logicloss.network import Model, TrainingDiverged, init_model
 from test_data import _write_idx
@@ -408,6 +407,56 @@ def test_an_idx_dataset_with_an_empty_train_split_fails_before_the_model_is_buil
         assert main(["train", "--dataset", spec, "--epochs", "1"]) == 1
 
 
+_BAD_TABLES = [
+    ("group", "fmnist", 10, "no class groups given"),
+    ("csim", "gtsrb", 10, "no label triples given"),
+    ("csim", "fmnist", 5, "the fmnist tables name class 9, past n_classes=5"),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8])
+@pytest.mark.parametrize("constraint,tables,n_classes,message", _BAD_TABLES)
+def test_config_checks_the_tables_against_the_constraint_and_class_count_before_any_data_loads(
+    monkeypatch, tmp_path, constraint, tables, n_classes, message, lam
+):
+    def never(cfg):
+        raise AssertionError("data loaded before the tables were checked")
+
+    monkeypatch.setattr(experiment, "_load_data", never)
+    with pytest.raises(ValueError) as info:
+        run(ExperimentConfig(constraint=constraint, tables=tables, n_classes=n_classes, lam=lam))
+    assert str(info.value) == f"tables={tables!r}: {message}"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"constraint = {constraint}\nn_classes = {n_classes}\ntables = {tables}\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:3: tables={tables!r}: {message}"
+
+
+def test_an_idx_dataset_s_tables_are_checked_against_its_own_class_count(tmp_path, monkeypatch):
+    img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    built = []
+    real_init = experiment.init_model
+    monkeypatch.setattr(experiment, "init_model", lambda *a: built.append(a) or real_init(*a))
+    # TINY says 5 classes; the data's count replaces it, and only then are
+    # the tables checked
+    for n_classes, constraint, tables, message in (
+        (5, "csim", "fmnist", "the fmnist tables name class 9, past n_classes=5"),
+        (10, "group", "auto", "no class groups given"),  # fmnist's, which has none
+    ):
+        labels = list(range(n_classes)) * 2
+        _write_idx(img, (len(labels), 2, 2), range(4 * len(labels)))
+        _write_idx(lbl, (len(labels),), labels)
+        cfg = dataclasses.replace(TINY, dataset=f"idx:{img},{lbl}", constraint=constraint, tables=tables)
+        with pytest.raises(ValueError) as info:
+            run(cfg)
+        assert str(info.value) == f"tables={tables!r}: {message}"
+        assert not built
+    # 10 classes in the data fit fmnist's tables although the config says 5
+    run(dataclasses.replace(cfg, constraint="csim", tables="fmnist", lam=0.5, epochs=1))
+    assert len(built) == 1
+
+
 def test_build_constraint_shapes():
     tables = synthetic_tables(5)
     csim = build_constraint(ExperimentConfig(constraint="csim", n_classes=5), tables)
@@ -562,27 +611,9 @@ def test_select_result_tie_goes_to_later_epoch():
 def test_select_result_window():
     pairs = [(99.0, 99.0)] + [(10.0, 10.0)] * 10
     assert select_result(_reports(pairs)) == (10.0, 10.0)
-    assert select_result(_reports(pairs), window=11) == (99.0, 99.0)
     assert select_result(_reports([(42.0, 7.0)])) == (42.0, 7.0)
     with pytest.raises(ValueError, match="no reports"):
         select_result([])
-
-
-@pytest.mark.parametrize(
-    "window,message",
-    [(0, "window must be >= 1, got 0"), (-2, "window must be >= 1, got -2")]
-    + [(w, f"window must be >= 1 and an integer, got {w!r}") for w in (1.5, 2.0, True, "3", None)],
-)
-def test_select_result_rejects_a_window_that_is_not_a_positive_integer(window, message):
-    with pytest.raises(ValueError) as e:
-        select_result(_reports([(10.0, 10.0), (99.0, 99.0), (10.0, 10.0)]), window=window)
-    assert str(e.value) == message
-
-
-def test_select_result_window_takes_numpy_integers():
-    reports = _reports([(99.0, 99.0), (10.0, 10.0), (20.0, 20.0)])
-    assert select_result(reports, window=np.int64(2)) == (20.0, 20.0)
-    assert select_result(reports, window=np.int32(3)) == (99.0, 99.0)
 
 
 def test_select_result_sum_key():
@@ -773,7 +804,7 @@ def test_lambda_sweep_loads_its_data_once_in_the_calling_process(jobs, monkeypat
 
 
 def test_set_up_arrays_are_read_only_and_it_pickles():
-    setup = setup_run(SWEEP_CFG, True)
+    setup = setup_run(SWEEP_CFG)
     copy = pickle.loads(pickle.dumps(setup))
     for s in (setup, copy):
         for d in (s.train, s.test):
@@ -782,22 +813,10 @@ def test_set_up_arrays_are_read_only_and_it_pickles():
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0
     assert copy.cfg == setup.cfg
-    assert (copy.constraint, copy.train_formula) == (setup.constraint, setup.train_formula)
+    assert copy.constraint == setup.constraint
     for a, b in ((copy.train, setup.train), (copy.test, setup.test)):
         assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
     assert train_run(copy, 0.4) == train_run(setup, 0.4)
-
-
-def test_set_up_pushes_negations_only_for_a_crisp_backend_and_only_for_logic():
-    fuzzy = setup_run(SWEEP_CFG, True)
-    assert fuzzy.train_formula == fuzzy.constraint
-    crisp = setup_run(dataclasses.replace(SWEEP_CFG, backend="dl2"), True)
-    assert crisp.train_formula == push_negations(crisp.constraint, rewrite_implication=True)
-    ce_only = setup_run(SWEEP_CFG, False)
-    assert ce_only.train_formula is None
-    assert train_run(ce_only, 0.0) == run(SWEEP_CFG)
-    with pytest.raises(ValueError, match="lambda 0 only"):
-        train_run(ce_only, 0.4)
 
 
 def test_lambda_sweep_runs_in_a_spawned_pool(monkeypatch):

@@ -28,7 +28,7 @@ from logicloss.constraints import (
     lipschitz_formula,
     synthetic_tables,
 )
-from logicloss.formula import Env, push_negations
+from logicloss.formula import Env
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
 
 N_CLASSES = 10
@@ -43,8 +43,6 @@ def _constraint_suite(backend):
     csim = csim_formula(_TABLES.triples, N_CLASSES)
     group = group_formula(_TABLES.groups, eps=0.05)
     lip = lipschitz_formula(1.8)
-    if backend.impl is None:
-        csim = push_negations(csim, rewrite_implication=True)
     return [("csim", csim, False), ("group", group, False), ("lipschitz", lip, True)]
 
 

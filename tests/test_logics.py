@@ -13,6 +13,7 @@ from logicloss.formula import (
     Cmp,
     Const,
     Env,
+    Implies,
     Mul,
     Not,
     Or,
@@ -27,7 +28,6 @@ from logicloss.logics import (
     BACKEND_NAMES,
     ONE_WHEN_TRUE,
     ZERO_WHEN_TRUE,
-    CompileError,
     dl2_atom,
     dl2_connective,
     fuzzy_compare,
@@ -487,21 +487,45 @@ def test_compile_negation_fuzzy_native():
     assert truth_function(f, b)(env) == pytest.approx(1.0 - 0.84)
 
 
-def test_compile_dl2_rejects_implication_and_negation():
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(out[0] >= 0.1) -> (out[1] >= out[2])",
+        "not ((out[0] <= 0.5) and (out[1] > out[2]))",
+        "((out[0] >= 0.3) -> not (out[2] >= out[1])) and not (out[0] != 0.25)",
+    ],
+    ids=["implies", "not-and", "implies-not-and-not"],
+)
+def test_compile_dl2_reads_implication_and_negation_as_their_rewrite(text):
+    # the batch holds ties (0.25, 0.25) and a threshold hit (0.5)
+    f = parse(text, CTX)
+    rewritten = push_negations(f, rewrite_implication=True)
+    assert rewritten != f
     dl2 = make_backend("dl2")
-    impl = parse("(out[0] >= 0.1) -> (out[1] >= out[2])", CTX)
-    with pytest.raises(CompileError, match="rewrite_implication"):
-        truth_function(impl, dl2)
+    probs = np.array([[0.7, 0.5, 0.25, 0.1, 0.3], [0.2, 0.3, 0.25, 0.6, 0.3], [0.1, 0.2, 0.5, 0.3, 0.4]])
+    results = []
+    for g in (f, rewritten):
+        x = var(probs.copy())
+        loss = loss_function(g, dl2)(Env(outputs=x))
+        results.append((loss.value, grad(loss, [x])[x]))
+    (v, dv), (w, dw) = results
+    assert v.shape == (5,) and np.any(v > 0.0) and np.any(dv != 0.0)
+    assert np.array_equal(v, w) and np.array_equal(dv, dw)
+    # one sample: a negated atom is satisfied at 0.7 and violated by 0.1 at 0.4
     neg = parse("not out[0] <= 0.5", CTX)
-    with pytest.raises(CompileError, match="push_negations"):
-        truth_function(neg, dl2)
-    # the instructed preprocessing makes both compile
-    env = Env(outputs=[0.7, 0.3, 0.2])
-    fixed = push_negations(impl, rewrite_implication=True)
-    assert loss_function(fixed, dl2)(env) >= 0.0
-    # negated atom becomes 0.5 < out[0]: satisfied at 0.7, violated by 0.1 at 0.4
-    assert loss_function(push_negations(neg), dl2)(env) == 0.0
-    assert loss_function(push_negations(neg), dl2)(Env(outputs=[0.4])) == pytest.approx(0.1)
+    assert loss_function(neg, dl2)(Env(outputs=[0.7])) == 0.0
+    assert loss_function(neg, dl2)(Env(outputs=[0.4])) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_truth_function_scores_one_sample_as_a_float_and_rejects_a_node_per_entry(name):
+    f = parse("out[0] <= 0.5 and out[1] <= 0.5", CTX)
+    truth = truth_function(f, make_backend(name))
+    value = truth(Env(outputs=[0.7, 0.2, 0.1]))
+    assert type(value) is float
+    assert value == np.asarray(truth(Env(outputs=np.array([[0.7], [0.2], [0.1]])))).item()
+    with pytest.raises(TypeError, match=r"var\(m\) for its \(entries, 1\) matrix"):
+        truth(Env(outputs=[var(0.7), var(0.2), var(0.1)]))
 
 
 def test_compile_bigand_folds_left():
@@ -536,7 +560,8 @@ def _rand_fragment_formula(rng, depth):
         return Cmp(op, e(), e())
     a = _rand_fragment_formula(rng, depth - 1)
     b = _rand_fragment_formula(rng, depth - 1)
-    return (And if rng.random() < 0.5 else Or)(a, b)
+    f = rng.choice([And, Or, Implies])(a, b)
+    return Not(f) if rng.random() < 0.2 else f
 
 
 def test_dl2_loss_zero_iff_crisp_true():

@@ -5,7 +5,7 @@ import pytest
 
 from logicloss.autodiff import grad, track_branch_margins
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
-from logicloss.formula import Cmp, Const, Env, Output, push_negations
+from logicloss.formula import Cmp, Const, Env, Output
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
 from logicloss.network import (
     Model,
@@ -141,8 +141,6 @@ def _nondegenerate_batch(m, fn, n):
 def test_full_gradient_matches_finite_differences(name):
     backend = make_backend(name)
     constraint = csim_formula(synthetic_tables(3).triples, 3)
-    if backend.impl is None:
-        constraint = push_negations(constraint, rewrite_implication=True)
     m = init_model([2, 4, 3], seed=11)
     X, y = _nondegenerate_batch(m, loss_function(constraint, backend), n=4)
     lam = 0.7
@@ -202,9 +200,7 @@ def _dense_terms():
     return [
         compile_constraint(csim_formula(tables.triples, 10), make_backend("rc")),
         compile_constraint(group_formula(tables.groups, eps=0.05), make_backend("godel")),
-        compile_constraint(
-            push_negations(lipschitz_formula(0.001), rewrite_implication=True), make_backend("dl2")
-        ),
+        compile_constraint(lipschitz_formula(0.001), make_backend("dl2")),
     ]
 
 
