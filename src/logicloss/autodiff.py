@@ -332,23 +332,19 @@ def aggregate(pieces, rule):
     """
     values = [p.value if isinstance(p, Node) else p for p, _ in pieces]
     n = sum(len(s) if type(s) is tuple else 1 for _, s in pieces)
-    whole = len(pieces) == 1 and isinstance(values[0], np.ndarray) and pieces[0][1] == tuple(range(n))
-    if whole:
-        x = values[0]
-    else:
-        outer = np.broadcast_shapes(
-            *(np.shape(v)[:-1] if type(s) is tuple else np.shape(v) for v, (_, s) in zip(values, pieces))
-        )
-        x = np.empty(outer + (n,))
-        for v, (_, s) in zip(values, pieces):
-            x[..., s] = v
+    outer = np.broadcast_shapes(
+        *(np.shape(v)[:-1] if type(s) is tuple else np.shape(v) for v, (_, s) in zip(values, pieces))
+    )
+    x = np.empty(outer + (n,))
+    for v, (_, s) in zip(values, pieces):
+        x[..., s] = v
     value, d = rule(x)
     parents = []
     partials = []
     for p, s in pieces:
         if isinstance(p, Node):
             parents.append(p)
-            partials.append(_Spread(d if whole else d[..., s]) if type(s) is tuple else d[..., s])
+            partials.append(_Spread(d[..., s]) if type(s) is tuple else d[..., s])
     if not parents:
         return value
     return Node(value, tuple(parents), tuple(partials))

@@ -146,7 +146,8 @@ _KEY_ALIASES = {"lambda": "lam"}
 
 
 def load_config(path):
-    """Read a key = value config file into an ExperimentConfig."""
+    """Read a key = value config file into an ExperimentConfig.  A key may
+    be set once, under its own name or its alias."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values = {}
     lines = {}
@@ -165,6 +166,8 @@ def load_config(path):
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                     + ", ".join(sorted(fields))
                 )
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set at line {lines[key]}")
             try:
                 if key == "hidden":
                     values[key] = tuple(int(v) for v in raw.split(","))
@@ -200,7 +203,9 @@ def _resolve_tables(cfg):
 def _constraint(cfg):
     """The constraint of `cfg`, built from its tables, which must hold what
     it reads and name no class past `n_classes`; an error in them names
-    the key `tables`."""
+    the key `tables`.  `lipschitz` reads no tables, so none are built."""
+    if cfg.constraint == "lipschitz":
+        return build_constraint(cfg, None)
     try:
         tables = _resolve_tables(cfg)
         classes = {

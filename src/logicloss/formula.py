@@ -645,7 +645,7 @@ class _NoTemplate(Exception):
     pass
 
 
-_BINARY = (Add, Sub, Mul, And, Or, Implies)
+_BINARY = (Add, Sub, Mul, Or, Implies)
 
 
 def template(g: Formula):
@@ -657,8 +657,9 @@ def template(g: Formula):
     likewise.  That flat tuple is the shape, so conjuncts that differ only
     in which entries they read have equal shapes (which hash together), and
     the index tuples give the original index of each slot.  A conjunct that
-    reads no single entry or reads a whole or primed vector (norm2) has no
-    template.
+    reads no single entry, reads a whole or primed vector (norm2), or holds
+    a conjunction has no template, so a shared template never holds a
+    conjunction.
     """
     slots = {Output: {}, Input: {}}
     shape = []

@@ -15,18 +15,21 @@ applies the scalar rule row by row.
 
 On a batch each vector of the `Env` is one (entries, batch) matrix, and a
 compiled conjunction adds a second array axis: conjuncts that differ only
-in which outputs or inputs they read (`formula.template`) run their shared
-template once, on (batch, members) arrays that one gather per template
-slot (`autodiff.gather`) reads from the matrix.  Every conjunct then takes
-its slot, in its original order, along the last axis of one (batch,
-conjuncts) array, which the backend's aggregation operator
-(`LogicBackend.conj_n`, the t-norm's n-ary form) reduces in one tape
-node.  Every operator is elementwise, so each conjunct gets the numbers it
-would get compiled alone, and the tape holds one copy of the template and
-one reduction, however many conjuncts there are.  The reduction runs in
-the fold's order, so it equals the left fold by the backend's conjunction
-bit for bit (Yager steps through the conjuncts one at a time, on bare
-arrays, off the tape), and records the fold's branch margins.
+in which outputs or inputs they read (`formula.template`; a conjunct that
+holds a conjunction has no template) run their shared template once, on
+(batch, members) arrays that one gather per template slot
+(`autodiff.gather`) reads from the matrix; every other conjunct runs
+alone.  All of these closures are built when the conjunction is compiled.
+Every conjunct then takes its slot, in its original order, along the last
+axis of one (batch, conjuncts) array, which the backend's aggregation
+operator (`LogicBackend.conj_n`, the t-norm's n-ary form) reduces in one
+tape node.  Every operator is elementwise, so each conjunct gets the
+numbers it would get compiled alone, and the tape holds one copy of the
+template and one reduction, however many conjuncts there are.  The
+reduction runs in the fold's order, so it equals the left fold by the
+backend's conjunction bit for bit (Yager steps through the conjuncts one
+at a time, on bare arrays, off the tape), and records the fold's branch
+margins.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -72,7 +75,6 @@ from .formula import (
     Or,
     UnboundReference,
     _entry_count,
-    _is_matrix,
     batch_of_one,
     conjuncts,
     expr_fn,
@@ -543,9 +545,9 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
     fold.  Conjuncts that share a template (`formula.template`) fill their
     slots from one run of the first member's closure, on an Env whose
     entries are (batch, members) arrays, one gather per slot from the
-    batch's matrix.  Inside an enclosing template, whose entries are
-    already (batch, members) arrays, each conjunct runs alone; the other
-    members' closures are compiled only then.
+    batch's matrix; every other conjunct runs its own closure.  A template
+    never holds a conjunction, so every closure is built here and runs on
+    the Env its caller passes.
     """
     if len(parts) == 1:
         return _compile(parts[0], backend)
@@ -555,37 +557,20 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
         if t is not None:
             members.setdefault(t[0], []).append((j, t[1], t[2]))
     shared = []
-    tops: dict = {}  # the highest entry of each vector that a gather reads
     for ms in members.values():
         if len(ms) >= 2:
             js, outs, ins = zip(*ms)
-            shared.append((js, _slots(outs), _slots(ins)))
-            for ref, idx in (("out", outs), ("in", ins)):
-                if idx[0]:
-                    tops[ref] = max(tops.get(ref, -1), *(i for ix in idx for i in ix))
-    grouped = {j for js, _, _ in shared for j in js}
-    later = grouped - {js[0] for js, _, _ in shared}
-    fns = [None if j in later else _compile(g, backend) for j, g in enumerate(parts)]
-    singles = tuple(j for j in range(len(parts)) if j not in grouped)
-    shared = tuple((fns[js[0]], js, outs, ins) for js, outs, ins in shared)
+            shared.append((_compile(parts[js[0]], backend), js, _slots(outs), _slots(ins)))
+    grouped = {j for _, js, _, _ in shared for j in js}
+    singles = tuple((_compile(g, backend), j) for j, g in enumerate(parts) if j not in grouped)
     conj_n = backend.conj_n
-    reads = tuple(tops.items())
 
     def run(env):
-        if reads and _is_matrix(env.vector(reads[0][0])):
-            for ref, top in reads:
-                if top >= _entry_count(env.vector(ref)):
-                    raise UnboundReference(f"{ref}[{top}] is not bound by the environment")
-            pieces = [(fns[j](env), j) for j in singles]
-            for fn, js, outs, ins in shared:
-                stacked = Env(outputs=_stacked(env.outputs, outs), inputs=_stacked(env.inputs, ins))
-                pieces.append((fn(stacked), js))
-            return aggregate(pieces, conj_n)
-        # the (batch, members) entries of an enclosing template, or no
-        # shared template: every conjunct runs its own closure
-        if None in fns:
-            fns[:] = [fn or _compile(g, backend) for fn, g in zip(fns, parts)]
-        return aggregate([(fn(env), j) for j, fn in enumerate(fns)], conj_n)
+        pieces = [(fn(env), j) for fn, j in singles]
+        for fn, js, outs, ins in shared:
+            stacked = Env(outputs=_stacked(env.outputs, outs, "out"), inputs=_stacked(env.inputs, ins, "in"))
+            pieces.append((fn(stacked), js))
+        return aggregate(pieces, conj_n)
 
     return run
 
@@ -597,12 +582,16 @@ def _slots(indices):
     return tuple(zip(indices[0], zip(*indices)))
 
 
-def _stacked(matrix, slots):
+def _stacked(matrix, slots, ref: str):
     """A vector whose entry at each slot's position is the (batch, members)
     gather of that slot's entries from `matrix`; entries no slot names stay
-    unbound (None)."""
+    unbound (None).  An entry past the matrix's rows raises
+    `UnboundReference` naming it as `ref`[k]."""
     if not slots:
         return ()
+    top = max(max(idx) for _, idx in slots)
+    if top >= _entry_count(matrix):
+        raise UnboundReference(f"{ref}[{top}] is not bound by the environment")
     out = [None] * (max(pos for pos, _ in slots) + 1)
     for pos, idx in slots:
         out[pos] = gather(matrix, idx)

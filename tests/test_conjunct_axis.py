@@ -12,6 +12,7 @@ relative 1e-12, with Godel ties on the earliest conjunct.  And
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from logicloss.formula import (
     And,
     Env,
     ParseContext,
+    UnboundReference,
     batch_env,
     conjuncts,
     parse,
@@ -76,7 +78,7 @@ _FORMULAS = {
         "(out[0] >= out[1]) and ((out[2] >= out[3]) and (out[4] >= out[5]))", _CTX
     ),
     "mixed-forall": parse("forall g in Mixed: sum(out[g]) <= 0.5 or sum(out[g]) >= 0.6", _CTX),
-    # a conjunction inside a shared template stacks along one more axis
+    # a conjunct that holds a conjunction has no template, so each runs alone
     "nested-conjunction": parse(
         "(((out[0] >= 0.1) and (out[1] >= 0.1)) -> (out[2] >= out[3]))"
         " and (((out[4] >= 0.1) and (out[5] >= 0.1)) -> (out[6] >= out[7]))",
@@ -233,6 +235,20 @@ def test_lipschitz_tape_does_not_grow_with_classes_or_input_dims():
     assert len(sizes) == 1, sizes
 
 
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+@pytest.mark.parametrize("name", ["csim", "group"])
+def test_an_entry_past_the_bound_outputs_is_unbound_not_an_index_error(backend_name, name):
+    """The formulas read all 10 classes; an Env binds 5 outputs, as a
+    batch's matrix, a leaf holding it, or one sample's floats."""
+    truth = truth_function(_FORMULAS[name], make_backend(backend_name))
+    m = np.full((5, 3), 0.2)
+    for outputs in (m, var(m), [0.2] * 5):
+        with pytest.raises(UnboundReference) as info:
+            truth(Env(outputs=outputs))
+        named = re.fullmatch(r"out\[(\d+)\] is not bound by the environment", str(info.value))
+        assert named and int(named.group(1)) >= 5, info.value
+
+
 def test_template_renumbers_entries_by_first_appearance():
     shape, outs, ins = template(parse("out[5] >= out[5] * out[2] + in[3]", _CTX))
     assert (outs, ins) == ((5, 2), (3,))
@@ -245,6 +261,7 @@ def test_template_renumbers_entries_by_first_appearance():
     norm2 = conjuncts(_FORMULAS["with-norm2"])[2]
     assert template(norm2) is None
     assert template(parse("1 <= 2", _CTX)) is None
+    assert all(template(g) is None for g in conjuncts(_FORMULAS["nested-conjunction"]))
 
 
 def test_conjuncts_follow_the_fold_order():

@@ -325,6 +325,18 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_a_key_set_twice_also_through_its_alias(tmp_path):
+    path = tmp_path / "bad.cfg"
+    for text, key in (
+        ("lambda = 0.5\nbackend = rc\nlam = 0.9\n", "lam"),
+        ("epochs = 3\n# again\nepochs = 4\n", "epochs"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:3: key {key!r} is already set at line 1"
+
+
 def test_load_config_names_the_file_line_and_key_of_a_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     for text, where in (
@@ -405,6 +417,16 @@ def test_an_idx_dataset_with_an_empty_train_split_fails_before_the_model_is_buil
             run(dataclasses.replace(TINY, dataset=spec, n_classes=3))
         assert str(info.value).startswith(f"dataset={spec!r}: ")
         assert main(["train", "--dataset", spec, "--epochs", "1"]) == 1
+
+
+def test_lipschitz_reads_no_tables_so_a_two_class_idx_dataset_trains_it(tmp_path):
+    # tables=auto would build synthetic tables, which need 3 classes
+    img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    _write_idx(img, (8, 2, 2), range(32))
+    _write_idx(lbl, (8,), [0, 1] * 4)
+    cfg = dataclasses.replace(TINY, dataset=f"idx:{img},{lbl}", constraint="lipschitz", lam=0.5, epochs=1)
+    assert cfg.tables == "auto"
+    assert len(run(cfg)) == 1
 
 
 _BAD_TABLES = [
