@@ -68,7 +68,6 @@ def _add_train_options(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--logic", choices=BACKEND_NAMES, dest="backend")
     p.add_argument("--constraint", choices=("csim", "group", "lipschitz"))
-    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
@@ -110,6 +109,8 @@ def _build_parser():
 
     tr = sub.add_parser("train", help="one training run, CSV report")
     _add_train_options(tr)
+    # a sweep takes its lambdas from --sweep alone
+    tr.add_argument("--lambda", dest="lam", type=float)
 
     sw = sub.add_parser("sweep", help="one run per lambda value")
     _add_train_options(sw)

@@ -13,6 +13,7 @@ t-norm, and the disjunction inside the group constraint is the
 probabilistic sum.
 """
 
+import copy
 import dataclasses
 import math
 import numbers
@@ -40,6 +41,7 @@ from logicloss.formula import (
 )
 from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum, t_product
 from logicloss.network import (
+    Model,
     Optimizer,
     compile_constraint,
     forward_batch,
@@ -352,12 +354,39 @@ def setup_run(cfg):
     return RunSetup(cfg, train, test, _constraint(cfg))
 
 
-def train_run(setup, lam):
-    """Train from `setup` at weight `lam`; one EpochReport per epoch,
-    deterministic per seed.  The backend and the compiled loss are built
-    only for `lam` > 0, the crisp evaluator when the first epoch is
-    scored."""
+@dataclass
+class _RunState:
+    """A run between two batches: all it carries from one batch to the
+    next, so a run can stop after any batch and go on from a copy."""
+
+    model: Model
+    opt: Optimizer
+    shuffle: np.random.Generator
+    epoch: int = 1
+    perm: np.ndarray = None  # the epoch's sample order, once drawn
+    start: int = 0  # the next batch's first position in `perm`
+    ce_total: float = 0.0
+    logic_total: float = 0.0
+    reports: list = dataclasses.field(default_factory=list)
+
+
+def _train(setup, lams, state=None):
+    """Train the distinct lambdas `lams` from `state` (a new model when
+    None) as one group: one model, optimizer and shuffle, stepped once per
+    batch at the largest lambda; returns the state.
+
+    A group of one lambda trains to the last epoch.  A larger group goes on
+    while each batch's logic gradient is exactly zero, since such a step is
+    the lambda-0 step at every lambda.  At the first batch where it is not,
+    or where the step raises, the group stops and returns the state from
+    before that step, and each lambda goes on alone from a copy of it
+    (`lambda_sweep`); its step then raises, notes and all, as it would in a
+    run of its own.  The reports carry the group's logic loss; a member at
+    lambda 0 reports none (`_reports_at`).
+    """
     cfg, train, test, constraint = setup.cfg, setup.train, setup.test, setup.constraint
+    lam = max(lams)
+    shared = len(lams) > 1
     backend = None
     train_term = None
     if lam > 0.0:
@@ -367,42 +396,71 @@ def train_run(setup, lam):
     # compiled when the first epoch is scored, so the first step does not wait
     crisp = None
 
-    dims = train.features.shape[1]
-    model = init_model([dims, *cfg.hidden, train.n_classes], cfg.seed)
-    opt = Optimizer(lr=cfg.lr, momentum=cfg.momentum)
-    shuffle = np.random.default_rng(cfg.seed)
-
+    if state is None:
+        dims = train.features.shape[1]
+        state = _RunState(
+            init_model([dims, *cfg.hidden, train.n_classes], cfg.seed),
+            Optimizer(lr=cfg.lr, momentum=cfg.momentum),
+            np.random.default_rng(cfg.seed),
+        )
     n = len(train)
-    reports = []
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle.permutation(n)
-        ce_total = 0.0
-        logic_total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            sl = perm[start : start + cfg.batch_size]
+    while state.epoch <= cfg.epochs:
+        if state.perm is None:
+            state.perm = state.shuffle.permutation(n)
+        while state.start < n:
+            sl = state.perm[state.start : state.start + cfg.batch_size]
             batch = (train.features[sl], train.labels[sl])
+            before = (state.model.copy(), state.opt.copy()) if shared else None
             try:
-                ce, logic = train_step(
-                    model, batch, lam, backend, train_term, opt
+                ce, logic, logic_grad_zero = train_step(
+                    state.model, batch, lam, backend, train_term, state.opt
                 )
             except Exception as exc:
-                _add_note(exc, f"backend={cfg.backend} lambda={lam} epoch={epoch}")
-                raise
-            ce_total += ce * len(sl)
-            logic_total += logic * len(sl)
+                if not shared:
+                    _add_note(exc, f"backend={cfg.backend} lambda={lam} epoch={state.epoch}")
+                    raise
+                # each member redoes this step alone and raises its own error;
+                # a non-finite logic loss fails none at lambda 0
+                logic_grad_zero = False
+            if shared and not logic_grad_zero:
+                state.model, state.opt = before
+                return state
+            state.ce_total += ce * len(sl)
+            state.logic_total += logic * len(sl)
+            state.start += cfg.batch_size
         if crisp is None:
             crisp, paired = crisp_fn(constraint), uses_paired_samples(constraint)
-        probs = forward_batch(model, test.features)
-        reports.append(
+        probs = forward_batch(state.model, test.features)
+        state.reports.append(
             EpochReport(
-                epoch=epoch,
-                train_ce=ce_total / n,
-                train_logic=logic_total / n if lam > 0.0 else 0.0,
+                epoch=state.epoch,
+                train_ce=state.ce_total / n,
+                train_logic=state.logic_total / n,
                 p_acc=_prediction_accuracy(probs, test),
                 c_acc=_constraint_accuracy(crisp, paired, probs, test),
             )
         )
-    return reports
+        state.epoch += 1
+        state.perm = None
+        state.start = 0
+        state.ce_total = state.logic_total = 0.0
+    return state
+
+
+def _reports_at(state, lam):
+    """The reports of `state` as lambda `lam`'s: at lambda 0 no logic term
+    is trained, so its loss reads 0."""
+    if lam > 0.0:
+        return state.reports
+    return [dataclasses.replace(r, train_logic=0.0) for r in state.reports]
+
+
+def train_run(setup, lam):
+    """Train from `setup` at weight `lam`; one EpochReport per epoch,
+    deterministic per seed.  The training loop with a group of one lambda
+    (`_train`): the backend and the compiled loss are built only for `lam`
+    > 0, the crisp evaluator when the first epoch is scored."""
+    return _reports_at(_train(setup, [lam]), lam)
 
 
 def run(cfg):
@@ -473,10 +531,11 @@ def _init_sweep_worker(setup):
 
 
 def _sweep_point(args):
-    """(setup, lam) -> the point's reports; a pool worker's task is
-    (None, lam), and the point trains from the worker's stored set-up."""
-    setup, lam = args
-    return train_run(_worker_setup if setup is None else setup, lam)
+    """(setup, lam, state) -> the reports of `lam`, trained alone from
+    `state` to the last epoch; a pool worker's task is (None, lam, state),
+    and the point trains from the worker's stored set-up."""
+    setup, lam, state = args
+    return _reports_at(_train(_worker_setup if setup is None else setup, [lam], state), lam)
 
 
 def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
@@ -485,12 +544,17 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     entry.
 
     Every grid entry is checked before any data loads.  The data, tables
-    and constraint are built once, in the calling process (`setup_run`);
-    each point builds its own model, backend, compiled loss and crisp
-    evaluator (`train_run`), so each row equals a standalone `run` at that
-    lambda.  With `jobs` > 1, at most one worker per point is started, and
-    each receives the set-up once, through the pool's initializer; a task
-    carries only its lambda.
+    and constraint are built once, in the calling process (`setup_run`).
+    The distinct grid values then train as one group (`_train`): one
+    model, stepped once per batch, for as long as each batch's logic
+    gradient is exactly zero, which makes every lambda's step the lambda-0
+    step.  At the first batch where it is not, each value goes on alone
+    from a copy of the state before that batch, and only then do `jobs` >
+    1 start a pool: at most one worker per value, each receiving the
+    set-up once, through the pool's initializer, and a task carries a
+    lambda and that state.  Every row equals a standalone `run` at its
+    lambda, and a failure raises the earliest failing grid value's own
+    exception, as a serial sweep of standalone runs would.
     """
     grid = list(grid)
     if not grid:
@@ -500,22 +564,27 @@ def lambda_sweep(cfg, grid=LAMBDA_GRID, jobs=1, key="product"):
     score = _score_fn(key)
     jobs = _count("jobs", jobs)
     setup = setup_run(cfg)
-    if jobs == 1:
-        results = [_sweep_point((setup, lam)) for lam in grid]
+    lams = list(dict.fromkeys(grid))  # equal values share the whole run
+    state = _train(setup, lams)
+    if state.epoch > setup.cfg.epochs:
+        results = [_reports_at(state, lam) for lam in lams]
+    elif jobs == 1:
+        results = [_sweep_point((setup, lam, copy.deepcopy(state))) for lam in lams]
     else:
         # a worker's exception, notes included, reaches the caller as itself
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(grid)),
+            max_workers=min(jobs, len(lams)),
             initializer=_init_sweep_worker,
             initargs=(setup,),
         ) as pool:
-            results = list(pool.map(_sweep_point, [(None, lam) for lam in grid]))
+            results = list(pool.map(_sweep_point, [(None, lam, state) for lam in lams]))
+    by_lambda = dict(zip(lams, results))
 
     rows = []
     best_lam = None
     best_score = None
-    for lam, reports in zip(grid, results):
-        p, c = select_result(reports, key=key)
+    for lam in grid:
+        p, c = select_result(by_lambda[lam], key=key)
         rows.append((lam, p, c))
         s = score(p, c)
         if best_score is None or s > best_score:

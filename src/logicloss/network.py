@@ -46,6 +46,9 @@ class Model:
     def n_params(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
+    def copy(self):
+        return Model(self.layer_sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
 
 def init_model(layer_sizes, seed):
     """Build a model with uniform(-1/sqrt(fan_in), +) weights, zero biases.
@@ -154,8 +157,21 @@ def compile_constraint(constraint, backend):
     return CompiledConstraint(loss_function(constraint, backend), uses_paired_samples(constraint))
 
 
+class Gradients(tuple):
+    """The tuple (ce, logic, grads_w, grads_b) of one batch, and
+    `logic_grad_zero`: whether the logic term's gradient was exactly zero
+    (or not computed, at lambda 0), so that these are the gradients of
+    lambda 0 whatever lambda was."""
+
+    def __new__(cls, ce, logic, grads_w, grads_b, logic_grad_zero):
+        self = super().__new__(cls, (ce, logic, grads_w, grads_b))
+        self.logic_grad_zero = logic_grad_zero
+        return self
+
+
 def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
-    """Mean losses and parameter gradients of ce + lam*logic on a batch.
+    """Mean losses and parameter gradients of ce + lam*logic on a batch, as
+    `Gradients`.
 
     `constraint` is a formula, compiled under `backend` on this call, or a
     `CompiledConstraint`, which a training run builds once and reuses for
@@ -177,6 +193,10 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
     if not np.isfinite(ce) or not np.isfinite(logic):
         raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
+    # then the step is the lambda-0 step bit for bit, since the CE gradient
+    # below holds no -0.0; and it is zero at every smaller lambda too, since
+    # `d_logic` is the unscaled gradient times lam / k and rounding is monotone
+    logic_grad_zero = d_logic is None or not d_logic.any()
 
     # probs, read for the last time above, becomes (probs - onehot(y)) / n
     d_logits = probs
@@ -195,7 +215,7 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
             # relu'(0) := 1, matching the tape's tie convention in vmax
             delta = delta @ m.weights[k]
             delta *= masks[k - 1]
-    return ce, logic, grads_w, grads_b
+    return Gradients(ce, logic, grads_w, grads_b, logic_grad_zero)
 
 
 @dataclass
@@ -212,6 +232,12 @@ class Optimizer:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
+    def copy(self):
+        """The optimizer with its own copy of the velocities."""
+        c = Optimizer(self.lr, self.momentum)
+        c._vel = None if self._vel is None else [v.copy() for v in self._vel]
+        return c
+
     def step(self, m, grads_w, grads_b):
         if self._vel is None:
             self._vel = [np.zeros_like(g) for g in grads_w + grads_b]
@@ -223,13 +249,14 @@ class Optimizer:
 
 
 def train_step(m, batch, lam, backend, constraint, opt):
-    """One SGD update on (X, y); returns (ce_loss, logical_loss)."""
+    """One SGD update on (X, y); returns (ce_loss, logical_loss,
+    logic_grad_zero), the last as `Gradients.logic_grad_zero`."""
     X, y = batch
     if len(X) == 0:
         raise ValueError("empty batch")
     if not lam >= 0.0:
         raise ValueError(f"logical weight must be non-negative, got {lam}")
-    ce, logic, gw, gb = loss_gradients(m, X, y, lam, backend, constraint)
+    g = loss_gradients(m, X, y, lam, backend, constraint)
+    ce, logic, gw, gb = g
     opt.step(m, gw, gb)
-    return ce, logic
-
+    return ce, logic, g.logic_grad_zero

@@ -364,13 +364,18 @@ def test_criterion_8_preset_training_trend():
 def test_criterion_9_sweep_protocol(monkeypatch, capsys):
     with criterion(9, "sweep covers the 15-value grid; selection matches hand oracle"):
         # stub trainer: quality is a known function of lambda, so the
-        # winning grid point is computable by hand
+        # winning grid point is computable by hand; the rc/csim grid splits
+        # at its first batch, so every point goes through the stub
+        ran = []
+
         def fake_point(args):
-            _, lam = args
+            _, lam, _ = args
+            ran.append(lam)
             return [EpochReport(1, 0.0, 0.0, 100.0 - 5.0 * lam, 10.0 * lam)]
 
         monkeypatch.setattr("logicloss.experiment._sweep_point", fake_point)
         rows, best = lambda_sweep(ExperimentConfig(), jobs=1)
+        assert ran == list(LAMBDA_GRID)
         assert [lam for lam, _, _ in rows] == list(LAMBDA_GRID)
         assert len(rows) == 15
         # (100-5L)*(10L) over the grid peaks at L=10: 50*100=5000 beats 55*90

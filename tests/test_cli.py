@@ -212,6 +212,13 @@ def test_train_names_the_line_of_a_config_value_that_fails_validation(tmp_path, 
     assert capsys.readouterr().err == f"error: {cfg}:2: epochs must be >= 1, got 0\n"
 
 
+def test_sweep_rejects_lambda(capsys):
+    code = main(["sweep", "--sweep", "0", "--lambda", "0.5"] + _TINY_FLAGS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--lambda 0.5" in err
+
+
 def test_sweep_select_sum(capsys):
     code = main(
         ["sweep", "--logic", "rc", "--sweep", "0", "--select", "sum"] + _TINY_FLAGS

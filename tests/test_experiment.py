@@ -785,14 +785,149 @@ def test_lambda_sweep_starts_no_more_workers_than_points(monkeypatch):
     assert rows == lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4], jobs=1)[0]
 
 
-def test_lambda_sweep_hands_the_set_up_to_workers_once_and_tasks_carry_only_lambda(monkeypatch):
+def test_lambda_sweep_hands_the_set_up_to_workers_once_and_tasks_carry_no_data(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
     lambda_sweep(SWEEP_CFG, grid=[0.0, 0.4, 1.0], jobs=2)
     (pool,) = _RecordingPool.made
-    assert pool.tasks == [(None, 0.0), (None, 0.4), (None, 1.0)]
     (setup,) = pool.initargs
     assert isinstance(setup, RunSetup) and setup.cfg == SWEEP_CFG
+    # a task is (no set-up, its lambda, the state the group split at)
+    assert [task[:2] for task in pool.tasks] == [(None, 0.0), (None, 0.4), (None, 1.0)]
+    for _, _, state in pool.tasks:
+        assert isinstance(state, experiment._RunState)
+        carried = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        carried += state.model.weights + state.model.biases
+        assert not any(np.shares_memory(a, d) for a in carried for d in _set_up_arrays(setup))
+        assert len(pickle.dumps(state)) < len(pickle.dumps(setup)) / 2
+
+
+def _set_up_arrays(setup):
+    return [a for d in (setup.train, setup.test) for a in (d.features, d.labels)]
+
+
+# dl2/lipschitz at a tight bound: the logic gradient first turns nonzero in
+# the third epoch, so a sweep trains two epochs as one model before it splits
+SPLIT_CFG = ExperimentConfig(
+    backend="dl2",
+    constraint="lipschitz",
+    lipschitz_l=0.3,
+    epochs=3,
+    batch_size=64,
+    n_train=1000,
+    n_test=200,
+    hidden=(16,),
+)
+# ... and at the default bound it never does
+FLAT_CFG = dataclasses.replace(SPLIT_CFG, lipschitz_l=1.0)
+
+
+def _sweep_reports(cfg, grid, jobs, monkeypatch):
+    """The rows of `lambda_sweep`, and each grid entry's full reports, as
+    the sweep hands them to `select_result`."""
+    seen = []
+    real = experiment.select_result
+
+    def recording(reports, key="product"):
+        seen.append(reports)
+        return real(reports, key=key)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "select_result", recording)
+        rows, _ = lambda_sweep(cfg, grid=grid, jobs=jobs)
+    return rows, seen
+
+
+def test_the_split_config_splits_mid_epoch_after_shared_epochs():
+    state = experiment._train(setup_run(SPLIT_CFG), [0.0, 0.4, 2.0])
+    assert (state.epoch, state.start) == (3, SPLIT_CFG.batch_size)
+    assert len(state.reports) == 2
+    assert experiment._train(setup_run(FLAT_CFG), [0.0, 0.4, 2.0]).epoch == FLAT_CFG.epochs + 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_that_splits_mid_run_reports_every_point_as_a_standalone_run(jobs, monkeypatch):
+    grid = [0.0, 0.4, 2.0]
+    _, reports = _sweep_reports(SPLIT_CFG, grid, jobs, monkeypatch)
+    setup = setup_run(SPLIT_CFG)
+    assert reports == [train_run(setup, lam) for lam in grid]
+    # the two shared epochs are equal at every lambda, the split one is not
+    assert reports[0][:2] == reports[1][:2] == reports[2][:2]
+    assert len({r[2].train_ce for r in reports}) == 3
+    assert reports[0][2].train_logic == 0.0 < reports[1][2].train_logic
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_that_never_splits_steps_one_model_and_starts_no_pool(jobs, monkeypatch):
+    steps = []
+    real_step = experiment.train_step
+
+    def counting_step(*args):
+        steps.append(args[2])
+        return real_step(*args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep that never split started a pool")
+
+    monkeypatch.setattr(experiment, "train_step", counting_step)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+    grid = [0.0, 0.4, 2.0]
+    _, reports = _sweep_reports(FLAT_CFG, grid, jobs, monkeypatch)
+    batches = -(-FLAT_CFG.n_train // FLAT_CFG.batch_size)
+    assert steps == [2.0] * (FLAT_CFG.epochs * batches)
+    monkeypatch.setattr(experiment, "train_step", real_step)
+    setup = setup_run(FLAT_CFG)
+    assert reports == [train_run(setup, lam) for lam in grid]
+    assert reports[1] == reports[2] and reports[1][0].train_logic == 0.0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeated_lambda_shares_its_whole_run(jobs, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _RecordingPool)
+    rows, reports = _sweep_reports(SPLIT_CFG, [0.4, 0.0, 0.4, 0.4], jobs, monkeypatch)
+    assert rows[0] == rows[2] == rows[3] and reports[0] == reports[2] == reports[3]
+    assert reports[0] == train_run(setup_run(SPLIT_CFG), 0.4)
+    # one worker, and one task, per distinct value
+    assert [(pool.max_workers, len(pool.tasks)) for pool in _RecordingPool.made] == (
+        [(2, 2)] if jobs == 2 else []
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_flat_violated_constraint_is_shared_and_lambda_0_reports_no_loss(jobs, monkeypatch):
+    # a violation with no gradient: every step is the lambda-0 step, but a
+    # standalone run at lambda > 0 still reports the loss
+    violated = Cmp(">=", Const(0.0), Const(1.0))
+    monkeypatch.setattr(experiment, "_constraint", lambda cfg: violated)
+    grid = [0.0, 0.4]
+    _, reports = _sweep_reports(SWEEP_CFG, grid, jobs, monkeypatch)
+    setup = setup_run(SWEEP_CFG)
+    assert setup.constraint is violated
+    assert reports == [train_run(setup, lam) for lam in grid]
+    assert {r.train_logic for r in reports[0]} == {0.0}
+    (loss,) = {r.train_logic for r in reports[1]}
+    assert loss > 0.0
+    assert [dataclasses.replace(r, train_logic=0.0) for r in reports[1]] == reports[0]
+
+
+def _nan_loss(constraint, backend):
+    return lambda env: float("nan")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("grid,first", [([0.0, 0.4, 2.0], 0.4), ([0.0, 2.0, 0.4], 2.0)])
+def test_a_non_finite_logic_loss_fails_the_first_positive_lambda(grid, first, jobs, monkeypatch):
+    if jobs > 1 and multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("the pool's workers must inherit the patched loss")
+    import logicloss.network as network
+
+    monkeypatch.setattr(network, "loss_function", _nan_loss)
+    with pytest.raises(TrainingDiverged, match="logic=nan") as info:
+        lambda_sweep(SPLIT_CFG, grid=grid, jobs=jobs)
+    assert info.value.__notes__ == [f"backend=dl2 lambda={first} epoch=1"]
+    # the lambda-0 point does not fail
+    assert len(lambda_sweep(SPLIT_CFG, grid=[0.0], jobs=jobs)[0]) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -186,14 +186,6 @@ def test_tape_triangulates_vectorized_backprop():
     assert k == m.n_params
 
 
-def _clone(m):
-    return Model(
-        m.layer_sizes,
-        [w.copy() for w in m.weights],
-        [b.copy() for b in m.biases],
-    )
-
-
 def _dense_terms():
     # each has a nonzero loss on the batches below (lipschitz from 7 rows on)
     tables = synthetic_tables(10)
@@ -239,7 +231,7 @@ def test_lambda_zero_update_equals_pure_ce():
     y = rng.integers(0, 4, size=8)
 
     a = init_model([3, 5, 4], seed=21)
-    b = _clone(a)
+    b = a.copy()
     train_step(a, (X, y), 0.0, backend, constraint, Optimizer(lr=0.1))
     train_step(b, (X, y), 0.0, None, None, Optimizer(lr=0.1))
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
@@ -256,10 +248,10 @@ def test_satisfied_dl2_constraint_is_inert():
     y = rng.integers(0, 3, size=6)
 
     a = init_model([3, 5, 3], seed=22)
-    b = _clone(a)
-    ce, logic = train_step(a, (X, y), 5.0, backend, constraint, Optimizer(lr=0.1))
-    train_step(b, (X, y), 0.0, None, None, Optimizer(lr=0.1))
-    assert logic == 0.0
+    b = a.copy()
+    ce, logic, logic_grad_zero = train_step(a, (X, y), 5.0, backend, constraint, Optimizer(lr=0.1))
+    assert train_step(b, (X, y), 0.0, None, None, Optimizer(lr=0.1)) == (ce, 0.0, True)
+    assert logic == 0.0 and logic_grad_zero
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(wa, wb)
 
@@ -271,8 +263,36 @@ def test_fuzzy_all_true_gives_zero_logic_loss():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, size=6)
-    _, logic = train_step(m, (X, y), 1.0, backend, constraint, Optimizer(lr=0.1))
+    _, logic, _ = train_step(m, (X, y), 1.0, backend, constraint, Optimizer(lr=0.1))
     assert logic == 0.0
+
+
+def test_loss_gradients_flags_a_zero_logic_gradient():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(8, 3))
+    y = rng.integers(0, 4, size=8)
+    m = init_model([3, 5, 4], seed=24)
+    csim = csim_formula(synthetic_tables(4).triples, 4)
+    assert loss_gradients(m, X, y).logic_grad_zero
+    g = loss_gradients(m, X, y, 0.5, make_backend("rc"), csim)
+    assert len(g) == 4 and not g.logic_grad_zero
+    satisfied = Cmp(">=", Output(0), Const(0.0))
+    assert loss_gradients(m, X, y, 0.5, make_backend("dl2"), satisfied).logic_grad_zero
+
+
+def test_copies_of_a_model_and_its_optimizer_train_apart_from_them():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(8, 3))
+    y = rng.integers(0, 4, size=8)
+    m, opt = init_model([3, 5, 4], seed=25), Optimizer(lr=0.1, momentum=0.9)
+    train_step(m, (X, y), 0.0, None, None, opt)
+    m2, opt2 = m.copy(), opt.copy()
+    frozen = m.copy()
+    train_step(m2, (X, y), 0.0, None, None, opt2)
+    assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, frozen.weights + frozen.biases))
+    train_step(m, (X, y), 0.0, None, None, opt)
+    assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, m2.weights + m2.biases))
+    assert all(np.array_equal(a, b) for a, b in zip(opt._vel, opt2._vel))
 
 
 def test_train_step_validation():
@@ -327,7 +347,7 @@ def test_ce_drops_on_separable_blobs():
     opt = Optimizer(lr=0.2)
     first = None
     for _ in range(50):
-        ce, _ = train_step(m, (X, y), 0.0, None, None, opt)
+        ce, _, _ = train_step(m, (X, y), 0.0, None, None, opt)
         if first is None:
             first = ce
     assert ce <= 0.5 * first
