@@ -57,8 +57,9 @@ def _pair_split(rng, n, n_classes, dims, split):
     site = labels // 2
     noise = rng.normal(size=(n, 3))
     features = np.zeros((n, dims))
-    features[:, 0] = SITE_RADIUS * np.cos(angles[site]) + FEATURE_SIGMA * noise[:, 0]
-    features[:, 1] = SITE_RADIUS * np.sin(angles[site]) + FEATURE_SIGMA * noise[:, 1]
+    # the trig of the n_sites angles, then one gather per sample
+    features[:, 0] = SITE_RADIUS * np.cos(angles)[site] + FEATURE_SIGMA * noise[:, 0]
+    features[:, 1] = SITE_RADIUS * np.sin(angles)[site] + FEATURE_SIGMA * noise[:, 1]
     side = 1.0 - 2.0 * (labels % 2)
     features[np.arange(n), 2 + site] = (
         0.5 * PAIR_GAP * side + FEATURE_SIGMA * noise[:, 2]

@@ -377,12 +377,13 @@ def _train(setup, lams, state=None):
 
     A group of one lambda trains to the last epoch.  A larger group goes on
     while each batch's logic gradient is exactly zero, since such a step is
-    the lambda-0 step at every lambda.  At the first batch where it is not,
-    or where the step raises, the group stops and returns the state from
-    before that step, and each lambda goes on alone from a copy of it
-    (`lambda_sweep`); its step then raises, notes and all, as it would in a
-    run of its own.  The reports carry the group's logic loss; a member at
-    lambda 0 reports none (`_reports_at`).
+    the lambda-0 step at every lambda; its step updates the model only
+    after that check, so nothing is copied or undone.  At the first batch
+    where the gradient is not zero, or where the step raises, the group
+    stops with the state as it was before that batch, and each lambda goes
+    on alone from a copy of it (`lambda_sweep`); its step then raises,
+    notes and all, as it would in a run of its own.  The reports carry the
+    group's logic loss; a member at lambda 0 reports none (`_reports_at`).
     """
     cfg, train, test, constraint = setup.cfg, setup.train, setup.test, setup.constraint
     lam = max(lams)
@@ -410,20 +411,18 @@ def _train(setup, lams, state=None):
         while state.start < n:
             sl = state.perm[state.start : state.start + cfg.batch_size]
             batch = (train.features[sl], train.labels[sl])
-            before = (state.model.copy(), state.opt.copy()) if shared else None
             try:
                 ce, logic, logic_grad_zero = train_step(
-                    state.model, batch, lam, backend, train_term, state.opt
+                    state.model, batch, lam, backend, train_term, state.opt, shared
                 )
             except Exception as exc:
-                if not shared:
-                    _add_note(exc, f"backend={cfg.backend} lambda={lam} epoch={state.epoch}")
-                    raise
-                # each member redoes this step alone and raises its own error;
-                # a non-finite logic loss fails none at lambda 0
-                logic_grad_zero = False
+                if shared:
+                    # each member redoes this step alone and raises its own
+                    # error; a non-finite logic loss fails none at lambda 0
+                    return state
+                _add_note(exc, f"backend={cfg.backend} lambda={lam} epoch={state.epoch}")
+                raise
             if shared and not logic_grad_zero:
-                state.model, state.opt = before
                 return state
             state.ce_total += ce * len(sl)
             state.logic_total += logic * len(sl)

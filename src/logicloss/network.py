@@ -19,9 +19,14 @@ expression.  Conjuncts of one shape (the csim triples, groups of one size)
 share one copy of their template on the tape, evaluated over a (batch,
 conjuncts) array gathered from the leaf, and the conjunction is one
 reduction node over that axis, so the tape does not grow with the number
-of conjuncts either.
+of conjuncts either.  The parameters are one flat vector (`Model`), a
+batch's gradient is one new vector laid out the same way, and the
+optimizer steps the whole vector at once.
 """
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,18 +41,76 @@ class TrainingDiverged(RuntimeError):
     """Raised when a training loss stops being finite."""
 
 
-@dataclass
 class Model:
-    layer_sizes: tuple
-    weights: list  # weights[k] has shape (fan_out, fan_in)
-    biases: list
+    """The weights and biases of a feed-forward classifier, held in one
+    contiguous float64 vector, `params`, laid out layer by layer (W0, b0,
+    W1, b1, ...).  `weights[k]` (fan_out, fan_in) and `biases[k]` are views
+    into it, built once; update them in place, since rebinding a list item
+    detaches it from the vector.  `Model(layer_sizes, weights, biases)`
+    packs the arrays it is given."""
+
+    def __init__(self, layer_sizes, weights, biases):
+        if len(weights) != len(biases):
+            raise ValueError(f"{len(weights)} weight arrays but {len(biases)} bias arrays")
+        shapes = tuple(np.shape(a) for pair in zip(weights, biases) for a in pair)
+        self._bind(layer_sizes, shapes, _pack(zip(weights, biases)))
+
+    def _bind(self, layer_sizes, shapes, params):
+        self.layer_sizes = layer_sizes
+        self._shapes = shapes
+        bounds = [0, *itertools.accumulate(map(math.prod, shapes))]
+        layout = [(slice(a, b), shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+        self._layout = layout[0::2], layout[1::2]  # weights, biases
+        self.params = params
+        self.weights, self.biases = self._views(params)
+
+    def __reduce__(self):
+        # pickling and deepcopy rebuild the views over the copied vector
+        return _model_from_params, (self.layer_sizes, self._shapes, self.params)
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self):
-        return Model(self.layer_sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return _model_from_params(self.layer_sizes, self._shapes, self.params.copy())
+
+    def _views(self, vec):
+        """([W0, W1, ...], [b0, b1, ...]): views of a vector laid out as
+        `params`.  The last views made are kept, so that `Optimizer.step`
+        can tell them from other arrays."""
+        w_layout, b_layout = self._layout
+        ws = [vec[at].reshape(shape) for at, shape in w_layout]
+        bs = [vec[at].reshape(shape) for at, shape in b_layout]
+        self._last_views = vec, tuple(ws), tuple(bs)
+        return ws, bs
+
+    def _vector_of(self, grads_w, grads_b):
+        """The vector that `grads_w` and `grads_b` are views of, if they are
+        the last views `_views` made; else the arrays packed into a new
+        vector laid out as `params`."""
+        vec, ws, bs = self._last_views
+        if _same(grads_w, ws) and _same(grads_b, bs):
+            return vec
+        shapes = tuple(np.shape(a) for pair in zip(grads_w, grads_b) for a in pair)
+        if len(grads_w) != len(grads_b) or shapes != self._shapes:
+            raise ValueError(f"gradients have shapes {shapes}, the model's arrays {self._shapes}")
+        return _pack(zip(grads_w, grads_b))
+
+
+def _same(arrays, views):
+    return len(arrays) == len(views) and all(map(operator.is_, arrays, views))
+
+
+def _model_from_params(layer_sizes, shapes, params):
+    m = Model.__new__(Model)
+    m._bind(layer_sizes, shapes, params)
+    return m
+
+
+def _pack(pairs):
+    """(weight, bias) pairs as one new float64 vector, W0, b0, W1, b1, ..."""
+    return np.concatenate([np.ravel(a) for pair in pairs for a in pair]).astype(float, copy=False)
 
 
 def init_model(layer_sizes, seed):
@@ -106,19 +169,24 @@ def _softmax(z, y=None):
     return log_p
 
 
-def forward_batch(m, X):
-    X = np.asarray(X, dtype=float)
+def _check_batch(m, X):
     if X.ndim != 2 or X.shape[1] != m.layer_sizes[0]:
         raise ValueError(
             f"batch has shape {X.shape}, model expects (n, {m.layer_sizes[0]})"
         )
+
+
+def forward_batch(m, X):
+    X = np.asarray(X, dtype=float)
+    _check_batch(m, X)
     probs = _forward_cache(m, X)[0][-1]
     _softmax(probs)
     return probs
 
 
 def _logic_grads(fn, paired, probs, X, lam):
-    """Mean constraint loss and its logit-space gradient over a batch.
+    """Mean constraint loss and its logit-space gradient over a batch; the
+    gradient is None when the loss does not reach the tape.
 
     One tape pass covers the whole batch: the rows pair up as
     `formula.sample_rows` says, and each row selection's probabilities are
@@ -126,21 +194,22 @@ def _logic_grads(fn, paired, probs, X, lam):
     probability-space gradient.  The chain through softmax is
     dz = p * (g - g.p) for every row at once.
     """
-    d_logits = np.zeros_like(probs)
     k, rows = sample_rows(len(probs), paired)
     if k == 0:
-        return 0.0, d_logits
+        return 0.0, None
     leaves = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
     lv = fn(batch_env(leaves, [np.ascontiguousarray(X[r].T) for r in rows]))
     losses = lv.value if isinstance(lv, Node) else lv
     total = float(np.sum(np.broadcast_to(losses, (k,))))
-    if isinstance(lv, Node):
-        g = grad(lv, leaves)
-        for r, leaf in zip(rows, leaves):
-            p = probs[r]
-            gp = np.empty(p.shape)
-            gp[...] = np.transpose(g[leaf])
-            d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
+    if not isinstance(lv, Node):
+        return total / k, None
+    g = grad(lv, leaves)
+    d_logits = np.zeros_like(probs)
+    for r, leaf in zip(rows, leaves):
+        p = probs[r]
+        gp = np.empty(p.shape)
+        gp[...] = np.transpose(g[leaf])
+        d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
     d_logits *= lam / k
     return total / k, d_logits
 
@@ -175,19 +244,30 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
     `constraint` is a formula, compiled under `backend` on this call, or a
     `CompiledConstraint`, which a training run builds once and reuses for
-    every batch (`backend` is then not read).
+    every batch (`backend` is then not read).  The gradients are views of
+    one new vector laid out as `m.params`.
     """
+    if not lam >= 0.0:
+        raise ValueError(f"logical weight must be non-negative, got {lam}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    _check_batch(m, X)
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
+    if y.shape != (n,):
+        raise ValueError(f"labels have shape {y.shape}, batch has shape {X.shape}")
     acts, masks = _forward_cache(m, X)
     probs = acts.pop()
-    ce = float(-_softmax(probs, y).mean())
+    # np.mean's bits, without its overhead
+    ce = float(-_softmax(probs, y).sum() / n)
 
     logic = 0.0
     d_logic = None
     if lam > 0.0 and constraint is not None:
         if not isinstance(constraint, CompiledConstraint):
+            if backend is None:
+                raise ValueError("backend=None: a formula constraint needs a backend to compile under")
             constraint = compile_constraint(constraint, backend)
         logic, d_logic = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
 
@@ -202,15 +282,14 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     d_logits = probs
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
-    if d_logic is not None:
+    if not logic_grad_zero:
         d_logits += d_logic
 
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
+    grads_w, grads_b = m._views(np.empty(m.n_params))
     delta = d_logits
     for k in reversed(range(len(m.weights))):
-        grads_w[k] = delta.T @ acts[k]
-        grads_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[k], out=grads_w[k])
+        np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
             # relu'(0) := 1, matching the tape's tie convention in vmax
             delta = delta @ m.weights[k]
@@ -220,11 +299,11 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
 @dataclass
 class Optimizer:
-    """SGD with optional momentum."""
+    """SGD with optional momentum, over the whole parameter vector at once."""
 
     lr: float
     momentum: float = 0.0
-    _vel: list = field(default=None, init=False, repr=False)
+    _vel: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not self.lr > 0.0:
@@ -233,30 +312,32 @@ class Optimizer:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def copy(self):
-        """The optimizer with its own copy of the velocities."""
+        """The optimizer with its own copy of the velocity."""
         c = Optimizer(self.lr, self.momentum)
-        c._vel = None if self._vel is None else [v.copy() for v in self._vel]
+        c._vel = None if self._vel is None else self._vel.copy()
         return c
 
     def step(self, m, grads_w, grads_b):
+        """Move `m.params` by the per-layer gradients; views of one
+        gradient vector from `loss_gradients` are read in place, and other
+        arrays are packed into one first."""
+        g = m._vector_of(grads_w, grads_b)
         if self._vel is None:
-            self._vel = [np.zeros_like(g) for g in grads_w + grads_b]
-        params = m.weights + m.biases
-        for v, p, g in zip(self._vel, params, grads_w + grads_b):
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
+            self._vel = np.zeros_like(m.params)
+        v = self._vel
+        v *= self.momentum
+        v += g
+        m.params -= self.lr * v
 
 
-def train_step(m, batch, lam, backend, constraint, opt):
+def train_step(m, batch, lam, backend, constraint, opt, only_if_logic_grad_zero=False):
     """One SGD update on (X, y); returns (ce_loss, logical_loss,
-    logic_grad_zero), the last as `Gradients.logic_grad_zero`."""
+    logic_grad_zero), the last as `Gradients.logic_grad_zero`.  With
+    `only_if_logic_grad_zero`, the update is made only when that flag is
+    true, that is when the step is the lambda-0 step.  The model and `opt`
+    are left as they were when no update is made, and when this raises."""
     X, y = batch
-    if len(X) == 0:
-        raise ValueError("empty batch")
-    if not lam >= 0.0:
-        raise ValueError(f"logical weight must be non-negative, got {lam}")
     g = loss_gradients(m, X, y, lam, backend, constraint)
-    ce, logic, gw, gb = g
-    opt.step(m, gw, gb)
-    return ce, logic, g.logic_grad_zero
+    if g.logic_grad_zero or not only_if_logic_grad_zero:
+        opt.step(m, g[2], g[3])
+    return g[0], g[1], g.logic_grad_zero

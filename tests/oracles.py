@@ -142,7 +142,8 @@ def dense_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
         if not isinstance(constraint, CompiledConstraint):
             constraint = compile_constraint(constraint, backend)
         logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
-        d_logits = d_logits + d_extra
+        if d_extra is not None:
+            d_logits = d_logits + d_extra
 
     if not np.isfinite(ce) or not np.isfinite(logic):
         raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")

@@ -44,7 +44,7 @@ from logicloss.formula import (
     conjuncts,
     parse,
 )
-from logicloss.network import Model, TrainingDiverged, init_model
+from logicloss.network import Model, Optimizer, TrainingDiverged, init_model
 from test_data import _write_idx
 
 TINY = ExperimentConfig(
@@ -869,13 +869,18 @@ def test_a_sweep_that_never_splits_steps_one_model_and_starts_no_pool(jobs, monk
     def no_pool(*args, **kwargs):
         raise AssertionError("a sweep that never split started a pool")
 
+    def no_copy(self):
+        raise AssertionError(f"a sweep that never split copied its {type(self).__name__}")
+
     monkeypatch.setattr(experiment, "train_step", counting_step)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(Model, "copy", no_copy)
+    monkeypatch.setattr(Optimizer, "copy", no_copy)
     grid = [0.0, 0.4, 2.0]
     _, reports = _sweep_reports(FLAT_CFG, grid, jobs, monkeypatch)
     batches = -(-FLAT_CFG.n_train // FLAT_CFG.batch_size)
     assert steps == [2.0] * (FLAT_CFG.epochs * batches)
-    monkeypatch.setattr(experiment, "train_step", real_step)
+    monkeypatch.undo()
     setup = setup_run(FLAT_CFG)
     assert reports == [train_run(setup, lam) for lam in grid]
     assert reports[1] == reports[2] and reports[1][0].train_logic == 0.0

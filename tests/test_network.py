@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -292,7 +294,69 @@ def test_copies_of_a_model_and_its_optimizer_train_apart_from_them():
     assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, frozen.weights + frozen.biases))
     train_step(m, (X, y), 0.0, None, None, opt)
     assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, m2.weights + m2.biases))
-    assert all(np.array_equal(a, b) for a, b in zip(opt._vel, opt2._vel))
+    assert np.array_equal(opt._vel, opt2._vel) and not np.shares_memory(opt._vel, opt2._vel)
+
+    # each way of making a model lays its arrays over a vector of its own,
+    # so a step on it moves its weights and biases and no one else's
+    made = {
+        "copy": m.copy(),
+        "deepcopy": copy.deepcopy(m),
+        "pickle": pickle.loads(pickle.dumps(m)),
+        "arrays": Model(m.layer_sizes, [w.copy() for w in m.weights], [b.copy() for b in m.biases]),
+    }
+    source = [a.copy() for a in m.weights + m.biases]
+    for how, c in made.items():
+        arrays = c.weights + c.biases
+        assert all(np.shares_memory(a, c.params) for a in arrays), how
+        assert not any(np.shares_memory(a, m.params) for a in arrays), how
+        assert sum(a.size for a in arrays) == c.params.size == m.n_params, how
+        before = [a.copy() for a in arrays]
+        train_step(c, (X, y), 0.0, None, None, opt.copy())
+        assert not any(np.array_equal(a, b) for a, b in zip(arrays, before)), how
+        assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, source)), how
+
+
+def test_a_step_reads_plain_gradient_arrays_as_their_packed_vector():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(8, 3))
+    y = rng.integers(0, 4, size=8)
+    a, b = init_model([3, 5, 4], seed=26), init_model([3, 5, 4], seed=26)
+    opt_a, opt_b = Optimizer(lr=0.1, momentum=0.9), Optimizer(lr=0.1, momentum=0.9)
+    for _ in range(3):
+        _, _, gw, gb = loss_gradients(a, X, y)
+        assert all(np.shares_memory(g, gw[0].base) for g in gw + gb)
+        opt_a.step(a, gw, gb)
+        _, _, gw, gb = loss_gradients(b, X, y)
+        opt_b.step(b, [g.copy() for g in gw], [g.copy() for g in gb])
+    assert np.array_equal(a.params, b.params)
+    with pytest.raises(ValueError, match="shapes"):
+        opt_a.step(a, gw[:1], gb[:1])
+
+
+def test_loss_gradients_rejects_a_nan_or_negative_lambda():
+    m = init_model([3, 4], seed=0)
+    X, y = np.zeros((2, 3)), np.zeros(2, dtype=int)
+    for lam in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="non-negative"):
+            loss_gradients(m, X, y, lam, make_backend("rc"), Cmp("<=", Const(0.0), Output(0)))
+
+
+def test_loss_gradients_rejects_a_formula_without_a_backend():
+    m = init_model([3, 4], seed=0)
+    with pytest.raises(ValueError, match="backend"):
+        loss_gradients(m, np.zeros((2, 3)), np.zeros(2, dtype=int), 0.5, None, Cmp("<=", Const(0.0), Output(0)))
+
+
+def test_loss_gradients_rejects_a_batch_of_the_wrong_width():
+    m = init_model([3, 4], seed=0)
+    with pytest.raises(ValueError, match=r"\(2, 5\).*\(n, 3\)"):
+        loss_gradients(m, np.zeros((2, 5)), np.zeros(2, dtype=int))
+
+
+def test_loss_gradients_rejects_labels_of_another_length():
+    m = init_model([3, 4], seed=0)
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
+        loss_gradients(m, np.zeros((2, 3)), np.zeros(3, dtype=int))
 
 
 def test_train_step_validation():
