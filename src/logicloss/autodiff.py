@@ -175,6 +175,22 @@ def val(x):
     return x.value if isinstance(x, Node) else x
 
 
+def record(value, *pairs):
+    """A node holding `value` whose parents are the operands of the
+    (operand, partial) `pairs` that are nodes, in order, each with its
+    partial; the bare value when no operand is a node.  A partial may be a
+    function of no arguments, called only when its operand is a node."""
+    parents = []
+    partials = []
+    for p, d in pairs:
+        if isinstance(p, Node):
+            parents.append(p)
+            partials.append(d() if callable(d) else d)
+    if not parents:
+        return value
+    return Node(value, tuple(parents), tuple(partials))
+
+
 def select(mask, a, b):
     """Row-wise `a if mask else b` for a boolean mask over the batch axis.
 
@@ -187,18 +203,11 @@ def select(mask, a, b):
         return a
     if hits == 0:
         return b
-    value = np.where(mask, val(a), val(b))
-    parents = []
-    partials = []
-    if isinstance(a, Node):
-        parents.append(a)
-        partials.append(mask.astype(float))
-    if isinstance(b, Node):
-        parents.append(b)
-        partials.append((~mask).astype(float))
-    if not parents:
-        return value
-    return Node(value, tuple(parents), tuple(partials))
+    return record(
+        np.where(mask, val(a), val(b)),
+        (a, lambda: mask.astype(float)),
+        (b, lambda: (~mask).astype(float)),
+    )
 
 
 # -- matrices: reading entries, summing over them, reducing a last axis --
@@ -329,7 +338,15 @@ def aggregate(pieces, rule):
     last axis and, with x's shape, the partials of that by each entry.  The
     result is one node whose parents are the pieces that are nodes, or a
     bare value when no piece is a node (a scalar when no piece is an array).
+    A lone piece whose value fills every slot, in order, is reduced as a
+    C-ordered copy of that value.
     """
+    if len(pieces) == 1:
+        p, s = pieces[0]
+        v = val(p)
+        if type(s) is tuple and np.shape(v)[-1:] == (len(s),) and s == tuple(range(len(s))):
+            value, d = rule(np.array(v, dtype=float, order="C"))
+            return record(value, (p, lambda: _Spread(d)))
     values = [p.value if isinstance(p, Node) else p for p, _ in pieces]
     n = sum(len(s) if type(s) is tuple else 1 for _, s in pieces)
     outer = np.broadcast_shapes(
@@ -440,7 +457,6 @@ def pow_parts(av, bv):
 
 def vpow(a, b):
     """a ** b for a >= 0, with 0 ** 0 == 1 and zero partials on the base-0 set."""
-    an, bn = isinstance(a, Node), isinstance(b, Node)
     av = np.asarray(val(a), dtype=float)
     bv = np.asarray(val(b), dtype=float)
     if (av < 0.0).any():
@@ -451,14 +467,7 @@ def vpow(a, b):
     # the derivative in the base blows up as base -> 0 whenever exp < 1
     report_margin(lambda: np.where(bv < 1.0, av, np.inf))
     v, da = pow_parts(av, bv)
-    db = np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av))) if bn else None
-    if an and bn:
-        return Node(v, (a, b), (da, db))
-    if an:
-        return Node(v, (a,), (da,))
-    if bn:
-        return Node(v, (b,), (db,))
-    return v
+    return record(v, (a, da), (b, lambda: np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av)))))
 
 
 # -- gradients ---------------------------------------------------------

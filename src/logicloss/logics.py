@@ -31,6 +31,13 @@ backend's conjunction bit for bit (Yager steps through the conjuncts one
 at a time, on bare arrays, off the tape), and records the fold's branch
 margins.
 
+The soft comparison (`fuzzy_le`), dl2's hinge max(x - y, 0)
+(`dl2_hinge`), Reichenbach's implication and the probabilistic sum are
+each one tape node whose partials are written out in closed form
+(`autodiff.record`); each computes its value by the numpy expression of
+the operator composed from tape primitives, so the two agree bit for bit,
+and records that composition's branch margins, in its order.
+
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
     comparison has no strictness to express, and the two differ on a
@@ -53,13 +60,14 @@ import numpy as np
 
 from .autodiff import (
     Node,
+    _check_divisor,
     aggregate,
     gather,
     pow_parts,
+    record,
     report_margin,
     select,
     val,
-    vabs,
     vmax,
     vmin,
     vpow,
@@ -206,7 +214,9 @@ def s_yager(x, y, p: float = 2.0):
 
 
 def s_prob_sum(x, y):
-    return x + y - x * y
+    """x + y - x*y, one tape node."""
+    xv, yv = val(x), val(y)
+    return record(xv + yv - xv * yv, (x, lambda: 1.0 - yv), (y, lambda: 1.0 - xv))
 
 
 def n_standard(x):
@@ -248,7 +258,9 @@ def i_goguen(x, y):
 
 
 def i_reichenbach(x, y):
-    return 1.0 - x + x * y
+    """1 - x + x*y, one tape node."""
+    xv, yv = val(x), val(y)
+    return record(1.0 - xv + xv * yv, (x, lambda: yv - 1.0), (y, xv))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +312,20 @@ def power_scaled(impl: Callable) -> Callable:
 # Comparisons
 
 
+def _hinge(d):
+    """max(d, 0), the tie at 0 going to d, and its partial by d: 1.0 when
+    every row is at or above 0, and None, with the bare value 0.0, when no
+    row is.  Records the margin |d|, as `vmax(d, 0.0)` does."""
+    report_margin(d)
+    mask = np.greater_equal(d, 0.0)
+    hits = np.count_nonzero(mask)
+    if hits == mask.size:
+        return d, 1.0
+    if hits == 0:
+        return 0.0, None
+    return np.where(mask, d, 0.0), mask.astype(float)
+
+
 def fuzzy_le(x, y, eps: float = 0.05):
     """Soft truth of x <= y: 1 - max(x-y, 0) / (|x| + |y| + eps).
 
@@ -307,8 +333,23 @@ def fuzzy_le(x, y, eps: float = 0.05):
     size of the violation, so no per-constraint normalization oracle is
     needed.  eps > 0 keeps the denominator away from zero; eps = 0 is allowed
     when |x| + |y| > 0 and makes the truth exactly scale-invariant.
+
+    One tape node.  With q = max(x-y, 0) / den and the hinge's partial h,
+    the partials are q/den * sign(x) - h/den by x and h/den + q/den *
+    sign(y) by y, with d|x|/dx = 0 at 0.  Records the margins |x - y|,
+    |x| and |y|, in that order.
     """
-    return 1.0 - vmax(x - y, 0.0) / (vabs(x) + vabs(y) + eps)
+    xv, yv = val(x), val(y)
+    h, dh = _hinge(xv - yv)
+    report_margin(xv)
+    report_margin(yv)
+    den = np.abs(xv) + np.abs(yv) + eps
+    _check_divisor(den)
+    q = h / den
+    if not (isinstance(x, Node) or isinstance(y, Node)):
+        return 1.0 - q
+    r, s = q / den, (0.0 if dh is None else dh / den)
+    return record(1.0 - q, (x, lambda: r * np.sign(xv) - s), (y, lambda: s + r * np.sign(yv)))
 
 
 def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
@@ -321,6 +362,15 @@ def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
     if op == "!=":
         return 1.0 - conj(fuzzy_le(x, y, eps), fuzzy_le(y, x, eps))
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def dl2_hinge(x, y):
+    """max(x - y, 0), one tape node with partials (h, -h) for the hinge's
+    partial h; the bare 0.0 when no row is violated."""
+    h, dh = _hinge(val(x) - val(y))
+    if dh is None:
+        return h
+    return record(h, (x, dh), (y, lambda: -dh))
 
 
 def _dl2_eq_indicator(x, y):
@@ -337,15 +387,15 @@ def dl2_atom(op: str, x, y, xi: float = 1.0):
     never contributes gradient.
     """
     if op == "<=":
-        return vmax(x - y, 0.0)
+        return dl2_hinge(x, y)
     if op == "<":
-        return vmax(x - y, 0.0) + xi * _dl2_eq_indicator(x, y)
+        return dl2_hinge(x, y) + xi * _dl2_eq_indicator(x, y)
     if op == ">=":
-        return vmax(y - x, 0.0)
+        return dl2_hinge(y, x)
     if op == ">":
-        return vmax(y - x, 0.0) + xi * _dl2_eq_indicator(x, y)
+        return dl2_hinge(y, x) + xi * _dl2_eq_indicator(x, y)
     if op == "==":
-        return vmax(x - y, 0.0) + vmax(y - x, 0.0)
+        return dl2_hinge(x, y) + dl2_hinge(y, x)
     if op == "!=":
         return xi * _dl2_eq_indicator(x, y)
     raise ValueError(f"unknown comparison operator {op!r}")

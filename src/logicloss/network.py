@@ -47,11 +47,22 @@ class Model:
     W1, b1, ...).  `weights[k]` (fan_out, fan_in) and `biases[k]` are views
     into it, built once; update them in place, since rebinding a list item
     detaches it from the vector.  `Model(layer_sizes, weights, biases)`
-    packs the arrays it is given."""
+    checks the arrays it is given against `layer_sizes` and packs them."""
 
     def __init__(self, layer_sizes, weights, biases):
-        if len(weights) != len(biases):
-            raise ValueError(f"{len(weights)} weight arrays but {len(biases)} bias arrays")
+        sizes = tuple(layer_sizes)
+        if not len(weights) == len(biases) == len(sizes) - 1:
+            raise ValueError(
+                f"{len(weights)} weight arrays and {len(biases)} bias arrays, "
+                f"layer sizes {sizes} need {len(sizes) - 1} of each"
+            )
+        for k, (W, b) in enumerate(zip(weights, biases)):
+            want = (sizes[k + 1], sizes[k])
+            if np.shape(W) != want or np.shape(b) != want[:1]:
+                raise ValueError(
+                    f"layer {k} has weights {np.shape(W)} and biases {np.shape(b)}, "
+                    f"layer sizes {sizes} need {want} and {want[:1]}"
+                )
         shapes = tuple(np.shape(a) for pair in zip(weights, biases) for a in pair)
         self._bind(layer_sizes, shapes, _pack(zip(weights, biases)))
 
@@ -257,6 +268,10 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
         raise ValueError("empty batch")
     if y.shape != (n,):
         raise ValueError(f"labels have shape {y.shape}, batch has shape {X.shape}")
+    n_classes = m.layer_sizes[-1]
+    if y.min() < 0 or y.max() >= n_classes:
+        bad = y[(y < 0) | (y >= n_classes)][0]
+        raise ValueError(f"label {bad} is out of range for n_classes={n_classes}")
     acts, masks = _forward_cache(m, X)
     probs = acts.pop()
     # np.mean's bits, without its overhead

@@ -8,6 +8,10 @@ independent derivative path.  Both are far too slow to train with.
 `sample_loss` feeds one sample's scalar tape nodes to a compiled loss
 through one (entries, 1) leaf and chains the leaf's gradient back into
 the scalar tape.
+`fuzzy_le_composed`, `dl2_hinge_composed`, `i_reichenbach_composed` and
+`s_prob_sum_composed` build a comparison atom or a product-family
+connective from tape primitives, one node per step; the library records
+each as one node with closed-form partials, and must match them.
 `dense_forward_batch` and `dense_loss_gradients` are the dense path as it
 was first written, with separate softmax and log-softmax passes, a one-hot
 CE gradient and the pre-activations kept for the ReLU mask; the library's
@@ -18,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from logicloss.autodiff import Node, grad, val, var, vexp, vln, vmax
+from logicloss.autodiff import Node, grad, val, var, vabs, vexp, vln, vmax
 from logicloss.formula import Env
 from logicloss.logics import loss_function
 from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
@@ -91,6 +95,21 @@ def tape_loss(m, x, y, lam=0.0, backend=None, constraint=None):
         loss = loss + lam * sample_loss(loss_function(constraint, backend), probs, x)
     return loss, wnodes, bnodes
 
+
+def fuzzy_le_composed(x, y, eps=0.05):
+    return 1.0 - vmax(x - y, 0.0) / (vabs(x) + vabs(y) + eps)
+
+
+def dl2_hinge_composed(x, y):
+    return vmax(x - y, 0.0)
+
+
+def i_reichenbach_composed(x, y):
+    return 1.0 - x + x * y
+
+
+def s_prob_sum_composed(x, y):
+    return x + y - x * y
 
 
 def _dense_forward(m, X):

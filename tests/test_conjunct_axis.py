@@ -326,6 +326,34 @@ def test_each_aggregation_matches_central_finite_differences(rule):
     assert rule(rows[:, :1])[0] == pytest.approx(rows[:, 0], rel=1e-12)
 
 
+_RULES = [agg_product, agg_godel, agg_lukasiewicz, agg_sum, agg_yager]
+_RULE_IDS = ["product", "godel", "lukasiewicz", "sum", "yager"]
+
+
+@pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
+def test_a_lone_piece_over_every_slot_reduces_as_the_general_layout(rule):
+    # F-ordered, as a template's value over a gathered (batch, members) array is
+    x = var(np.asfortranarray(_AXIS_ROWS))
+    n = x.value.shape[-1]
+    whole = aggregate([(x, tuple(range(n)))], rule)
+    cols = [var(x.value[:, j].copy()) for j in range(n)]
+    split = aggregate([(c, j) for j, c in enumerate(cols)], rule)
+    assert np.array_equal(whole.value, split.value)
+    g_whole, g_split = grad(whole, [x])[x], grad(split, cols)
+    shape = x.value.shape
+    by_column = np.stack([np.broadcast_to(g_split[c], shape[:1]) for c in cols], axis=-1)
+    assert np.array_equal(np.broadcast_to(g_whole, shape), by_column)
+
+
+@pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
+def test_a_lone_piece_without_the_full_last_axis_fills_every_slot(rule):
+    # a template whose value is the same for every member (a uniform select)
+    # comes back as a scalar, or without its members axis
+    assert aggregate([(1.0, (0, 1, 2))], rule) == rule(np.ones(3))[0]
+    col = var(_AXIS_ROWS[:, :1].copy())
+    assert np.array_equal(aggregate([(col, (0, 1, 2))], rule).value, rule(np.repeat(col.value, 3, axis=1))[0])
+
+
 def test_godel_ties_go_to_the_earliest_conjunct_in_the_original_order():
     """A single conjunct between two members of a template takes the
     gradient when it ties the later member: folding the template first and

@@ -359,6 +359,25 @@ def test_loss_gradients_rejects_labels_of_another_length():
         loss_gradients(m, np.zeros((2, 3)), np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("label", [-1, 4])
+def test_loss_gradients_rejects_a_label_out_of_range(label):
+    m = init_model([3, 4], seed=0)
+    with pytest.raises(ValueError, match=rf"label {label} .*n_classes=4"):
+        loss_gradients(m, np.zeros((2, 3)), np.array([label, 0]))
+
+
+def test_a_model_rejects_arrays_that_do_not_fit_its_layer_sizes():
+    W, b = np.zeros((4, 3)), np.zeros(4)
+    with pytest.raises(ValueError, match=r"layer 0 .*\(3, 4\).*need \(4, 3\)"):
+        Model((3, 4), [np.zeros((3, 4))], [b])
+    with pytest.raises(ValueError, match=r"layer 0 .*biases \(3,\).*\(4,\)"):
+        Model((3, 4), [W], [np.zeros(3)])
+    with pytest.raises(ValueError, match="need 2 of each"):
+        Model((3, 4, 2), [W], [b])
+    with pytest.raises(ValueError, match="1 weight arrays and 0 bias arrays"):
+        Model((3, 4), [W], [])
+
+
 def test_train_step_validation():
     m = init_model([2, 3], seed=0)
     opt = Optimizer(lr=0.1)
@@ -389,10 +408,10 @@ def test_momentum_accumulates_velocity():
 def test_momentum_zero_is_plain_sgd():
     # at momentum 0 the velocity is the current gradient, nothing carried over
     rng = np.random.default_rng(11)
-    W, b = rng.normal(size=(3, 4)), rng.normal(size=4)
+    W, b = rng.normal(size=(4, 3)), rng.normal(size=4)
     m = Model((3, 4), [W.copy()], [b.copy()])
     opt = Optimizer(lr=0.05)
-    (gw1, gb1), (gw2, gb2) = [(rng.normal(size=(3, 4)), rng.normal(size=4)) for _ in range(2)]
+    (gw1, gb1), (gw2, gb2) = [(rng.normal(size=(4, 3)), rng.normal(size=4)) for _ in range(2)]
     gw1[0, 0] = 0.0
     gb2[:] = 0.0
     opt.step(m, [gw1], [gb1])
