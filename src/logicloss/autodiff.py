@@ -334,10 +334,12 @@ def aggregate(pieces, rule):
     Each piece is (value, slots).  With a tuple of slots, the value's own
     last axis fills those positions of the new last axis, in order; with an
     int slot, the whole value fills that one position.  A scalar fills its
-    positions on every row.  `rule(x)` returns the reduction of x along its
-    last axis and, with x's shape, the partials of that by each entry.  The
-    result is one node whose parents are the pieces that are nodes, or a
-    bare value when no piece is a node (a scalar when no piece is an array).
+    positions on every row; an array laid over a tuple of slots whose last
+    axis holds another count of entries raises `ValueError`.  `rule(x)`
+    returns the reduction of x along its last axis and, with x's shape, the
+    partials of that by each entry.  The result is one node whose parents
+    are the pieces that are nodes, or a bare value when no piece is a node
+    (a scalar when no piece is an array).
     A lone piece whose value fills every slot, in order, is reduced as a
     C-ordered copy of that value.
     """
@@ -354,6 +356,8 @@ def aggregate(pieces, rule):
     )
     x = np.empty(outer + (n,))
     for v, (_, s) in zip(values, pieces):
+        if type(s) is tuple and np.ndim(v) and np.shape(v)[-1] != len(s):
+            raise ValueError(f"a piece of shape {np.shape(v)} cannot fill {len(s)} slots: one last-axis entry per slot")
         x[..., s] = v
     value, d = rule(x)
     parents = []
@@ -384,33 +388,6 @@ def vmin(a, b):
     bv = b.value if isinstance(b, Node) else b
     report_margin(av, bv)
     return select(np.less_equal(av, bv), a, b)
-
-
-def vabs(a):
-    v = a.value if isinstance(a, Node) else a
-    report_margin(v)
-    if not isinstance(a, Node):
-        return np.abs(v)
-    if np.greater(v, 0.0).all():
-        return a
-    return Node(np.abs(v), (a,), (np.sign(v),))
-
-
-def vexp(a):
-    e = np.exp(val(a))
-    if isinstance(a, Node):
-        return Node(e, (a,), (e,))
-    return e
-
-
-def vln(a):
-    v = a.value if isinstance(a, Node) else a
-    if np.less_equal(v, 0.0).any():
-        raise DomainError(f"ln of non-positive value {float(np.min(v))!r}")
-    out = np.log(v)
-    if isinstance(a, Node):
-        return Node(out, (a,), (1.0 / v,))
-    return out
 
 
 def vsqrt(a):

@@ -16,6 +16,7 @@ crisp evaluator, every loss backend, and the DSL printer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .formula import (
@@ -122,8 +123,8 @@ def group_formula(groups, eps: float = 0.05):
 
 def lipschitz_formula(l: float):
     """Output distance of a sample pair bounded by l times the input distance."""
-    if not l > 0.0:
-        raise ValueError("the Lipschitz bound must be positive")
+    if not 0.0 < l < math.inf:
+        raise ValueError("the Lipschitz bound must be positive and finite")
     return Cmp(
         "<=",
         Norm2Diff("out", "out'"),

@@ -39,7 +39,7 @@ from logicloss.formula import (
     sample_rows,
     uses_paired_samples,
 )
-from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum, t_product
+from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum
 from logicloss.network import (
     Model,
     Optimizer,
@@ -246,7 +246,7 @@ def _training_backend(cfg):
     if backend.impl is None:
         return backend
     if cfg.constraint == "csim":
-        return dataclasses.replace(backend, conj=closed01(t_product), conj_n=agg_product)
+        return dataclasses.replace(backend, conj=agg_product)
     if cfg.constraint == "group":
         return dataclasses.replace(backend, disj=closed01(s_prob_sum))
     return backend

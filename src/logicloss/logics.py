@@ -21,15 +21,16 @@ holds a conjunction has no template) run their shared template once, on
 (`autodiff.gather`) reads from the matrix; every other conjunct runs
 alone.  All of these closures are built when the conjunction is compiled.
 Every conjunct then takes its slot, in its original order, along the last
-axis of one (batch, conjuncts) array, which the backend's aggregation
-operator (`LogicBackend.conj_n`, the t-norm's n-ary form) reduces in one
-tape node.  Every operator is elementwise, so each conjunct gets the
-numbers it would get compiled alone, and the tape holds one copy of the
-template and one reduction, however many conjuncts there are.  The
+axis of one (batch, conjuncts) array, which the backend's conjunction
+(`LogicBackend.conj`, the t-norm's aggregation operator; dl2's sum)
+reduces in one tape node.  Every operator is elementwise, so each conjunct
+gets the numbers it would get compiled alone, and the tape holds one copy
+of the template and one reduction, however many conjuncts there are.  The
 reduction runs in the fold's order, so it equals the left fold by the
-backend's conjunction bit for bit (Yager steps through the conjuncts one
-at a time, on bare arrays, off the tape), and records the fold's branch
-margins.
+pairwise t-norm bit for bit (Yager steps through the conjuncts one at a
+time, on bare arrays, off the tape), and records the fold's branch
+margins.  A fuzzy `==` reduces its two soft comparisons the same way,
+`!=` is 1 minus that, and `not` is 1 - x.
 
 The soft comparison (`fuzzy_le`), dl2's hinge max(x - y, 0)
 (`dl2_hinge`), Reichenbach's implication and the probabilistic sum are
@@ -44,14 +45,16 @@ Branch conventions worth knowing:
     measure-zero set.
   - Godel and Goguen implications branch on x <= y (not x < y) so that
     I(0,0) = 1 and Goguen never divides by zero for arguments in [0,1].
-  - Fuzzy backend operators clamp their rounding spill back into [0,1]
-    with a pass-through (unit-derivative) node; the raw operator functions
-    do not.
+  - A fuzzy backend's comparisons, disjunction and implication clamp their
+    rounding spill back into [0,1] with a pass-through (unit-derivative)
+    node; the raw operator functions do not.  Its conjunction and `not`
+    map values in [0,1] into [0,1] and need no clamp.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -92,31 +95,11 @@ from .formula import (
 
 
 # ---------------------------------------------------------------------------
-# t-norms (fuzzy conjunction)
-
-
-def t_godel(x, y):
-    return vmin(x, y)
-
-
-def t_lukasiewicz(x, y):
-    return vmax(0.0, x + y - 1.0)
-
-
-def t_yager(x, y, p: float = 2.0):
-    w = vpow(vpow(1.0 - x, p) + vpow(1.0 - y, p), 1.0 / p)
-    return vmax(0.0, 1.0 - w)
-
-
-def t_product(x, y):
-    return x * y
-
-
-# ---------------------------------------------------------------------------
-# Aggregation operators: each t-norm over the last axis of an array at once
-# (van Krieken et al., "Analyzing Differentiable Fuzzy Logic Operators").
-# Each returns the reduced value and the partials by every entry, with the
-# kinks, ties and base-0 conventions that the pairwise left fold has.
+# t-norms (fuzzy conjunction), each as its aggregation operator: the t-norm
+# over the last axis of an array at once (van Krieken et al., "Analyzing
+# Differentiable Fuzzy Logic Operators").  Each returns the reduced value
+# and the partials by every entry, with the kinks, ties and base-0
+# conventions that the pairwise left fold of the t-norm has.
 
 
 def agg_product(x):
@@ -217,10 +200,6 @@ def s_prob_sum(x, y):
     """x + y - x*y, one tape node."""
     xv, yv = val(x), val(y)
     return record(xv + yv - xv * yv, (x, lambda: 1.0 - yv), (y, lambda: 1.0 - xv))
-
-
-def n_standard(x):
-    return 1.0 - x
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +332,16 @@ def fuzzy_le(x, y, eps: float = 0.05):
 
 
 def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
+    """Soft truth of `x op y` by `fuzzy_le`; `==` reduces the comparisons
+    both ways by the aggregation operator `conj` in one node, and `!=` is
+    1 minus that."""
     if op in ("<=", "<"):
         return fuzzy_le(x, y, eps)
     if op in (">=", ">"):
         return fuzzy_le(y, x, eps)
-    if op == "==":
-        return conj(fuzzy_le(x, y, eps), fuzzy_le(y, x, eps))
-    if op == "!=":
-        return 1.0 - conj(fuzzy_le(x, y, eps), fuzzy_le(y, x, eps))
+    if op in ("==", "!="):
+        eq = aggregate([(fuzzy_le(x, y, eps), 0), (fuzzy_le(y, x, eps), 1)], conj)
+        return eq if op == "==" else 1.0 - eq
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
@@ -401,33 +382,23 @@ def dl2_atom(op: str, x, y, xi: float = 1.0):
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def dl2_connective(kind: str, a, b):
-    if kind == "and":
-        return a + b
-    if kind == "or":
-        return a * b
-    raise ValueError(f"unknown connective {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Backends
 
-ZERO_WHEN_TRUE = "zero_when_true"  # violation measure: 0 iff satisfied
-ONE_WHEN_TRUE = "one_when_true"  # fuzzy truth: 1 iff (crisply) satisfied
-
-
 @dataclass(frozen=True)
 class LogicBackend:
-    """One complete loss semantics: connectives plus the atom translation."""
+    """One complete loss semantics: connectives plus the atom translation.
+
+    A backend with an implication scores a fuzzy truth in [0,1], 1 iff
+    (crisply) satisfied; one without (dl2) scores a violation, 0 iff
+    satisfied.
+    """
 
     name: str
-    conj: Callable
-    conj_n: Callable  # conj over an array's last axis: (value, partials)
+    conj: Callable  # x -> (value, partials) of the conjunction over x's last axis
     disj: Callable
     impl: Optional[Callable]  # None: the compiler rewrites "->" and "not" away (dl2)
-    neg: Optional[Callable]  # None exactly when impl is None
     compare: Callable  # (op, x, y) -> truth or violation
-    polarity: str
 
 
 def closed01(fn: Callable) -> Callable:
@@ -439,34 +410,26 @@ def closed01(fn: Callable) -> Callable:
     return wrapped
 
 
-# name -> (t-norm, s-norm, implication); make_backend binds the Yager
-# operators' p, adds the t-norm's aggregation operator and reshapes the
-# rc-s and rc-phi implications
+# name -> (t-norm's aggregation operator, s-norm, implication); make_backend
+# binds the Yager operators' p and reshapes the rc-s and rc-phi implications
 _FUZZY_TABLE = {
-    "godel": (t_godel, s_godel, i_godel),
-    "kd": (t_godel, s_godel, i_kleene_dienes),
-    "lk": (t_lukasiewicz, s_lukasiewicz, i_lukasiewicz),
-    "gg": (t_product, s_prob_sum, i_goguen),
-    "rc": (t_product, s_prob_sum, i_reichenbach),
-    "rc-s": (t_product, s_prob_sum, i_reichenbach),
-    "rc-phi": (t_product, s_prob_sum, i_reichenbach),
-    "yg": (t_yager, s_yager, i_yager),
+    "godel": (agg_godel, s_godel, i_godel),
+    "kd": (agg_godel, s_godel, i_kleene_dienes),
+    "lk": (agg_lukasiewicz, s_lukasiewicz, i_lukasiewicz),
+    "gg": (agg_product, s_prob_sum, i_goguen),
+    "rc": (agg_product, s_prob_sum, i_reichenbach),
+    "rc-s": (agg_product, s_prob_sum, i_reichenbach),
+    "rc-phi": (agg_product, s_prob_sum, i_reichenbach),
+    "yg": (agg_yager, s_yager, i_yager),
     # conjunction-study variants: the implication's own t-norm pairs with
     # the probabilistic sum for disjunction
-    "tg": (t_godel, s_prob_sum, i_godel),
-    "tlk": (t_lukasiewicz, s_prob_sum, i_lukasiewicz),
-    "trc": (t_product, s_prob_sum, i_reichenbach),
-    "tyg": (t_yager, s_prob_sum, i_yager),
+    "tg": (agg_godel, s_prob_sum, i_godel),
+    "tlk": (agg_lukasiewicz, s_prob_sum, i_lukasiewicz),
+    "trc": (agg_product, s_prob_sum, i_reichenbach),
+    "tyg": (agg_yager, s_prob_sum, i_yager),
 }
 
 BACKEND_NAMES = ("dl2",) + tuple(_FUZZY_TABLE)
-
-_AGGREGATION = {
-    t_godel: agg_godel,
-    t_lukasiewicz: agg_lukasiewicz,
-    t_yager: agg_yager,
-    t_product: agg_product,
-}
 
 
 def make_backend(
@@ -478,58 +441,35 @@ def make_backend(
     sigmoidal_s: float = 9.0,
 ) -> LogicBackend:
     if name == "dl2":
-        if not xi > 0.0:
-            raise ValueError("xi must be positive")
+        if not 0.0 < xi < math.inf:
+            raise ValueError("xi must be positive and finite")
 
         def compare(op, x, y):
             return dl2_atom(op, x, y, xi)
 
-        return LogicBackend(
-            name="dl2",
-            conj=lambda a, b: dl2_connective("and", a, b),
-            conj_n=agg_sum,
-            disj=lambda a, b: dl2_connective("or", a, b),
-            impl=None,
-            neg=None,
-            compare=compare,
-            polarity=ZERO_WHEN_TRUE,
-        )
+        # conjunction adds violations, disjunction multiplies them
+        return LogicBackend(name="dl2", conj=agg_sum, disj=operator.mul, impl=None, compare=compare)
 
     if name not in _FUZZY_TABLE:
         known = ", ".join(BACKEND_NAMES)
         raise ValueError(f"unknown backend {name!r}; choose one of: {known}")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if not yager_p >= 1.0:
-        raise ValueError("yager_p must be at least 1")
-    if not sigmoidal_s > 0.0:
-        raise ValueError("sigmoidal_s must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if not 1.0 <= yager_p < math.inf:
+        raise ValueError("yager_p must be at least 1 and finite")
+    if not 0.0 < sigmoidal_s < math.inf:
+        raise ValueError("sigmoidal_s must be positive and finite")
 
-    conj_n = _AGGREGATION[_FUZZY_TABLE[name][0]]
-    tnorm, snorm, impl_raw, conj_n = (
-        partial(fn, p=yager_p) if fn in (t_yager, s_yager, agg_yager) else fn
-        for fn in (*_FUZZY_TABLE[name], conj_n)
-    )
-    conj = closed01(tnorm)
-    disj = closed01(snorm)
+    conj, snorm, impl = (partial(fn, p=yager_p) if fn in (agg_yager, s_yager) else fn for fn in _FUZZY_TABLE[name])
     if name == "rc-s":
-        impl_raw = sigmoidal(impl_raw, sigmoidal_s)
+        impl = sigmoidal(impl, sigmoidal_s)
     elif name == "rc-phi":
-        impl_raw = power_scaled(impl_raw)
+        impl = power_scaled(impl)
 
-    def compare(op, x, y, _conj=conj, _eps=eps):
-        return fuzzy_compare(op, x, y, _conj, _eps)
+    def compare(op, x, y):
+        return fuzzy_compare(op, x, y, conj, eps)
 
-    return LogicBackend(
-        name=name,
-        conj=conj,
-        conj_n=conj_n,
-        disj=disj,
-        impl=closed01(impl_raw),
-        neg=closed01(n_standard),
-        compare=closed01(compare),
-        polarity=ONE_WHEN_TRUE,
-    )
+    return LogicBackend(name=name, conj=conj, disj=closed01(snorm), impl=closed01(impl), compare=closed01(compare))
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +522,15 @@ def _compile(f, backend: LogicBackend) -> Callable[[Env], object]:
         return lambda env: impl(fl(env), fr(env))
     if isinstance(f, Not):
         fb = _compile(f.body, backend)
-        neg = backend.neg
-        return lambda env: neg(fb(env))
+        return lambda env: 1.0 - fb(env)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
-    """The left fold, by `backend.conj`, of the conjuncts `parts`.
+    """The conjunction of the conjuncts `parts`, the backend's t-norm folded
+    left over them.
 
-    The whole conjunction is one node: `backend.conj_n` reduces an array
+    The whole conjunction is one node: `backend.conj` reduces an array
     whose last axis holds the conjuncts in their order, bit for bit the
     fold.  Conjuncts that share a template (`formula.template`) fill their
     slots from one run of the first member's closure, on an Env whose
@@ -613,14 +553,14 @@ def _conjunction(parts, backend: LogicBackend) -> Callable[[Env], object]:
             shared.append((_compile(parts[js[0]], backend), js, _slots(outs), _slots(ins)))
     grouped = {j for _, js, _, _ in shared for j in js}
     singles = tuple((_compile(g, backend), j) for j, g in enumerate(parts) if j not in grouped)
-    conj_n = backend.conj_n
+    conj = backend.conj
 
     def run(env):
         pieces = [(fn(env), j) for fn, j in singles]
         for fn, js, outs, ins in shared:
             stacked = Env(outputs=_stacked(env.outputs, outs, "out"), inputs=_stacked(env.inputs, ins, "in"))
             pieces.append((fn(stacked), js))
-        return aggregate(pieces, conj_n)
+        return aggregate(pieces, conj)
 
     return run
 
@@ -655,6 +595,6 @@ def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     loss and passes through.  Values come as from `truth_function`.
     """
     truth = truth_function(f, backend)
-    if backend.polarity == ZERO_WHEN_TRUE:
+    if backend.impl is None:
         return truth
     return lambda env: 1.0 - truth(env)

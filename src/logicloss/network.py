@@ -321,8 +321,8 @@ class Optimizer:
     _vel: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.lr > 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 

@@ -4,7 +4,9 @@
 in test_autodiff.py.  `forward_nodes` and `tape_loss` run one sample
 through the whole network on the scalar tape, one node per weight, so the
 closed-form batched backprop in `network.loss_gradients` has a second,
-independent derivative path.  Both are far too slow to train with.
+independent derivative path.  Both are far too slow to train with.  They
+and `fuzzy_le_composed` use the tape primitives `vabs`, `vexp` and `vln`,
+which the library does not use.
 `sample_loss` feeds one sample's scalar tape nodes to a compiled loss
 through one (entries, 1) leaf and chains the leaf's gradient back into
 the scalar tape.
@@ -12,20 +14,56 @@ the scalar tape.
 `s_prob_sum_composed` build a comparison atom or a product-family
 connective from tape primitives, one node per step; the library records
 each as one node with closed-form partials, and must match them.
+`t_godel`, `t_lukasiewicz`, `t_yager` and `t_product` are the pairwise
+t-norms.  A backend reduces a conjunction by its t-norm's aggregation
+operator, which must equal their left fold: `pairwise_conj` gives the
+fold's step for a backend, and `two_slot` the library's operator on two
+arguments.  `pairwise_truth` scores a formula composed from the pairwise
+operators: every conjunction a fold, a fuzzy `==` the t-norm of the two
+soft comparisons, `!=` and `not` one minus a value.
 `dense_forward_batch` and `dense_loss_gradients` are the dense path as it
 was first written, with separate softmax and log-softmax passes, a one-hot
 CE gradient and the pre-activations kept for the ReLU mask; the library's
 single-pass, in-place version must equal them bit for bit.
 """
 
+import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
-from logicloss.autodiff import Node, grad, val, var, vabs, vexp, vln, vmax
-from logicloss.formula import Env
-from logicloss.logics import loss_function
+from logicloss.autodiff import DomainError, Node, aggregate, grad, report_margin, val, var, vmax, vmin, vpow
+from logicloss.formula import And, Cmp, Env, Implies, Not, Or, conjuncts, expr_fn, push_negations
+from logicloss.logics import _clip01, agg_godel, agg_lukasiewicz, agg_product, agg_sum, loss_function
 from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
+
+
+def vabs(a):
+    v = a.value if isinstance(a, Node) else a
+    report_margin(v)
+    if not isinstance(a, Node):
+        return np.abs(v)
+    if np.greater(v, 0.0).all():
+        return a
+    return Node(np.abs(v), (a,), (np.sign(v),))
+
+
+def vexp(a):
+    e = np.exp(val(a))
+    if isinstance(a, Node):
+        return Node(e, (a,), (e,))
+    return e
+
+
+def vln(a):
+    v = a.value if isinstance(a, Node) else a
+    if np.less_equal(v, 0.0).any():
+        raise DomainError(f"ln of non-positive value {float(np.min(v))!r}")
+    out = np.log(v)
+    if isinstance(a, Node):
+        return Node(out, (a,), (1.0 / v,))
+    return out
 
 
 def finite_diff(f: Callable[[Sequence[float]], float], point: Sequence[float], h: float = 1e-5) -> list[float]:
@@ -110,6 +148,75 @@ def i_reichenbach_composed(x, y):
 
 def s_prob_sum_composed(x, y):
     return x + y - x * y
+
+
+def t_godel(x, y):
+    return vmin(x, y)
+
+
+def t_lukasiewicz(x, y):
+    return vmax(0.0, x + y - 1.0)
+
+
+def t_yager(x, y, p: float = 2.0):
+    w = vpow(vpow(1.0 - x, p) + vpow(1.0 - y, p), 1.0 / p)
+    return vmax(0.0, 1.0 - w)
+
+
+def t_product(x, y):
+    return x * y
+
+
+def two_slot(rule):
+    """A conjunction's aggregation operator `rule` as a function of two
+    arguments: the library's `aggregate` over two slots."""
+    return lambda a, b: aggregate([(a, 0), (b, 1)], rule)
+
+
+_TNORM_OF = {agg_godel: t_godel, agg_lukasiewicz: t_lukasiewicz, agg_product: t_product}
+
+
+def pairwise_conj(backend):
+    """The step of the left fold that `backend.conj` reduces as: the
+    pairwise t-norm inside the [0,1] clip, or dl2's a + b."""
+    rule = backend.conj
+    if rule is agg_sum:
+        return operator.add
+    if isinstance(rule, functools.partial):  # Yager, with its p
+        return lambda a, b: _clip01(t_yager(a, b, **rule.keywords))
+    tnorm = _TNORM_OF[rule]
+    return lambda a, b: _clip01(tnorm(a, b))
+
+
+def pairwise_truth(f, backend, env):
+    """`logics.truth_function(f, backend)` on a batch's Env, composed from
+    the pairwise operators: each conjunction folds `pairwise_conj` left
+    over its conjuncts; a fuzzy `==` is that step on the soft comparisons
+    both ways and `!=` one minus it, each in the [0,1] clip; a fuzzy `not`
+    is the clipped 1 - x.  dl2 reads the formula as `push_negations`
+    rewrites it."""
+    if backend.impl is None:
+        f = push_negations(f, rewrite_implication=True)
+    return _pairwise(f, backend, pairwise_conj(backend), env)
+
+
+def _pairwise(f, backend, conj, env):
+    if isinstance(f, Cmp):
+        x, y = expr_fn(f.left)(env), expr_fn(f.right)(env)
+        if backend.impl is None or f.op not in ("==", "!="):
+            return backend.compare(f.op, x, y)
+        eq = conj(backend.compare("<=", x, y), backend.compare("<=", y, x))
+        return _clip01(eq if f.op == "==" else 1.0 - eq)
+    if isinstance(f, And):
+        values = [_pairwise(g, backend, conj, env) for g in conjuncts(f)]
+        return functools.reduce(conj, values)
+    if isinstance(f, Not):
+        return _clip01(1.0 - _pairwise(f.body, backend, conj, env))
+    a, b = (_pairwise(g, backend, conj, env) for g in (f.left, f.right))
+    if isinstance(f, Or):
+        return backend.disj(a, b)
+    assert isinstance(f, Implies)
+    return backend.impl(a, b)
 
 
 def _dense_forward(m, X):

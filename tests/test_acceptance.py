@@ -43,6 +43,10 @@ from logicloss.formula import (
 )
 from logicloss.logics import (
     BACKEND_NAMES,
+    agg_godel,
+    agg_lukasiewicz,
+    agg_product,
+    agg_yager,
     fuzzy_le,
     i_godel,
     i_goguen,
@@ -58,13 +62,15 @@ from logicloss.logics import (
     s_prob_sum,
     s_yager,
     sigmoidal,
-    t_godel,
-    t_lukasiewicz,
-    t_product,
-    t_yager,
 )
 from logicloss.network import forward_batch, init_model
-from oracles import forward_nodes, sample_loss
+from oracles import forward_nodes, sample_loss, two_slot
+
+# the library's t-norms: each aggregation operator over two slots
+t_godel = two_slot(agg_godel)
+t_lukasiewicz = two_slot(agg_lukasiewicz)
+t_product = two_slot(agg_product)
+t_yager = two_slot(agg_yager)  # p = 2
 
 
 @contextmanager
@@ -89,13 +95,13 @@ def test_criterion_1_operator_axioms():
             "min": t_godel,
             "luka": t_lukasiewicz,
             "product": t_product,
-            "yager": lambda x, y: t_yager(x, y, 2.0),
+            "yager": t_yager,
         }
         pairs = {
             "min": (t_godel, s_godel),
             "luka": (t_lukasiewicz, s_lukasiewicz),
             "product": (t_product, s_prob_sum),
-            "yager": (lambda x, y: t_yager(x, y, 2.0), lambda x, y: s_yager(x, y, 2.0)),
+            "yager": (t_yager, lambda x, y: s_yager(x, y, 2.0)),
         }
         rng = random.Random(20260818)
 

@@ -16,16 +16,13 @@ from logicloss.autodiff import (
     track_branch_margins,
     val,
     var,
-    vabs,
-    vexp,
-    vln,
     vmax,
     vmin,
     vpow,
     vsigmoid,
     vsqrt,
 )
-from oracles import finite_diff
+from oracles import finite_diff, vabs, vexp, vln
 
 
 def test_record_values():

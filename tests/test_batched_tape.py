@@ -24,7 +24,6 @@ from logicloss.autodiff import (
     track_branch_margins,
     val,
     var,
-    vabs,
     vmax,
     vmin,
     vpow,
@@ -34,6 +33,7 @@ from logicloss.constraints import csim_formula, group_formula, lipschitz_formula
 from logicloss.formula import batch_env
 from logicloss.logics import BACKEND_NAMES, _clip01, i_godel, i_goguen, loss_function, make_backend
 from logicloss.network import _logic_grads
+from oracles import vabs
 
 N_CLASSES = 10
 N_INPUTS = 4

@@ -125,6 +125,16 @@ def test_non_finite_vector_is_usage_error_naming_the_flag(capsys, flag, bad):
     assert f"argument {flag}: every entry must be finite" in captured.err
 
 
+@pytest.mark.parametrize("logic", ["rc", "dl2"])
+def test_eval_rejects_an_infinite_eps_or_xi(capsys, logic):
+    option = "eps" if logic == "rc" else "xi"
+    argv = ["eval", "--logic", logic, "--formula", "out[0] <= 0.5", "--out", "0.7,0.3", f"--{option}", "inf"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {option} must be positive and finite\n"
+
+
 def test_help_lists_backends(capsys):
     code = main(["--help"])
     out = capsys.readouterr().out

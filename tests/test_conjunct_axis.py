@@ -3,9 +3,10 @@
 On a batch, the compiled loss evaluates each template with two or more
 members once, on a (batch, members) array, lays every conjunct out in its
 original order along a last axis, and reduces that axis with the backend's
-aggregation operator (`LogicBackend.conj_n`).  The batch loss must equal
-the left fold by `backend.conj` of the conjuncts each compiled alone, bit
-for bit, as every aggregation runs in the fold's order; the gradient to a
+conjunction (`LogicBackend.conj`, its t-norm's aggregation operator).  The
+batch loss must equal the left fold by the pairwise t-norm
+(`oracles.pairwise_conj`) of the conjuncts each compiled alone, bit for
+bit, as every aggregation runs in the fold's order; the gradient to a
 relative 1e-12, with Godel ties on the earliest conjunct.  And
 `_logic_grads` must still match the per-sample scalar loop of
 `test_batched_tape`.
@@ -33,7 +34,6 @@ from logicloss.formula import (
 )
 from logicloss.logics import (
     BACKEND_NAMES,
-    ZERO_WHEN_TRUE,
     agg_godel,
     agg_lukasiewicz,
     agg_product,
@@ -43,7 +43,7 @@ from logicloss.logics import (
     make_backend,
     truth_function,
 )
-from oracles import finite_diff
+from oracles import finite_diff, pairwise_conj
 from test_batched_tape import REL_TOL, _logic_grads_dense, _rel_err, _scalar_reference
 
 N_CLASSES = 10
@@ -129,13 +129,14 @@ def _leaf_env(f, probs, X):
 
 
 def _alone(f, backend, env):
-    """The truth of `f`, every conjunction folded by `backend.conj` over its
-    conjuncts, each compiled on its own."""
+    """The truth of `f`, every conjunction folded by the pairwise t-norm over
+    its conjuncts, each compiled on its own."""
     if isinstance(f, And):
         values = [_alone(g, backend, env) for g in conjuncts(f)]
+        conj = pairwise_conj(backend)
         acc = values[0]
         for v in values[1:]:
-            acc = backend.conj(acc, v)
+            acc = conj(acc, v)
         return acc
     return truth_function(f, backend)(env)
 
@@ -148,7 +149,7 @@ def test_batch_loss_is_the_fold_of_conjuncts_compiled_alone(backend_name, name):
         k, env = _leaf_env(f, probs, X)
         got = loss(env)
         truth = _alone(f, backend, env)
-        want = truth if backend.polarity == ZERO_WHEN_TRUE else 1.0 - truth
+        want = truth if backend.impl is None else 1.0 - truth
         gv, wv = (np.broadcast_to(val(v), (k,)) for v in (got, want))
         assert np.array_equal(gv, wv), (gv, wv)
         leaves = [m for m in (env.outputs, env.outputs2) if isinstance(m, Node)]
@@ -292,14 +293,15 @@ def _fold_and_reduce(backend, rows):
     the fold on one leaf per slot, the reduction on all slots gathered from
     one leaf matrix."""
     fold_leaves = [var(c) for c in np.ascontiguousarray(rows.T)]
+    conj = pairwise_conj(backend)
     acc = fold_leaves[0]
     for leaf in fold_leaves[1:]:
-        acc = backend.conj(acc, leaf)
+        acc = conj(acc, leaf)
     g = grad(acc, fold_leaves)
     fold_d = np.stack([np.broadcast_to(g[lf], (len(rows),)) for lf in fold_leaves], axis=-1)
     m = var(np.ascontiguousarray(rows.T))
     n = len(m.value)
-    red = aggregate([(gather(m, tuple(range(n))), tuple(range(n)))], backend.conj_n)
+    red = aggregate([(gather(m, tuple(range(n))), tuple(range(n)))], backend.conj)
     red_d = np.broadcast_to(grad(red, [m])[m], m.value.shape).T
     return val(acc), fold_d, val(red), red_d
 
@@ -348,10 +350,14 @@ def test_a_lone_piece_over_every_slot_reduces_as_the_general_layout(rule):
 @pytest.mark.parametrize("rule", _RULES, ids=_RULE_IDS)
 def test_a_lone_piece_without_the_full_last_axis_fills_every_slot(rule):
     # a template whose value is the same for every member (a uniform select)
-    # comes back as a scalar, or without its members axis
+    # comes back as a scalar, which fills every slot
     assert aggregate([(1.0, (0, 1, 2))], rule) == rule(np.ones(3))[0]
+    # an array without one last-axis entry per slot has no layout whose
+    # gradient fits it
     col = var(_AXIS_ROWS[:, :1].copy())
-    assert np.array_equal(aggregate([(col, (0, 1, 2))], rule).value, rule(np.repeat(col.value, 3, axis=1))[0])
+    for pieces in ([(col, (0, 1, 2))], [(col, (0, 1, 2)), (0.5, 3)]):
+        with pytest.raises(ValueError, match=r"a piece of shape \(5, 1\) cannot fill 3 slots"):
+            aggregate(pieces, rule)
 
 
 def test_godel_ties_go_to_the_earliest_conjunct_in_the_original_order():

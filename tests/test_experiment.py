@@ -45,6 +45,7 @@ from logicloss.formula import (
     parse,
 )
 from logicloss.network import Model, Optimizer, TrainingDiverged, init_model
+from oracles import pairwise_conj, two_slot
 from test_data import _write_idx
 
 TINY = ExperimentConfig(
@@ -184,6 +185,11 @@ def test_config_rejects_hidden_widths_below_one(hidden):
         ("yager_p", float("nan")),
         ("sigmoidal_s", float("nan")),
         ("lipschitz_l", float("nan")),
+        ("lr", float("inf")),
+        ("xi", float("inf")),
+        ("yager_p", float("inf")),
+        ("sigmoidal_s", float("inf")),
+        ("lipschitz_l", float("inf")),
     ],
 )
 def test_config_rejects_bad_values_before_any_data_loads(monkeypatch, key, bad):
@@ -503,31 +509,32 @@ def test_training_backend_pins_study_operators():
     conj = _training_backend(
         ExperimentConfig(backend="godel", constraint="csim")
     ).conj
-    assert conj(0.5, 0.5) == pytest.approx(0.25)
+    assert two_slot(conj)(0.5, 0.5) == pytest.approx(0.25)
     disj = _training_backend(
         ExperimentConfig(backend="godel", constraint="group")
     ).disj
     assert disj(0.5, 0.5) == pytest.approx(0.75)
     lip = _training_backend(ExperimentConfig(backend="godel", constraint="lipschitz"))
-    assert lip.conj(0.5, 0.5) == 0.5
+    assert two_slot(lip.conj)(0.5, 0.5) == 0.5
     # dl2 keeps its additive forms everywhere
     dl2 = _training_backend(ExperimentConfig(backend="dl2", constraint="csim"))
-    assert dl2.conj(1.0, 2.0) == 3.0
+    assert two_slot(dl2.conj)(1.0, 2.0) == 3.0
 
 
 @pytest.mark.parametrize("constraint", CONSTRAINT_NAMES)
 @pytest.mark.parametrize("backend", ["dl2", "godel", "lk", "yg", "rc", "tlk"])
 def test_training_backend_aggregates_with_its_own_conj(backend, constraint):
-    """A pinned conjunction brings its aggregation operator along: reducing
-    a row equals folding it with the backend's conj."""
+    """A pinned conjunction is an aggregation operator too: reducing a row
+    equals folding it with the pairwise t-norm it stands for."""
     b = _training_backend(ExperimentConfig(backend=backend, constraint=constraint))
     rows = np.random.default_rng(3).uniform(0.6, 1.0, size=(5, 4))
     rows[1, 2] = rows[1, 0]
     rows[2] = 1.0
+    step = pairwise_conj(b)
     acc = rows[:, 0]
     for k in range(1, rows.shape[1]):
-        acc = b.conj(acc, rows[:, k])
-    np.testing.assert_allclose(b.conj_n(rows)[0], acc, rtol=1e-12, atol=1e-15)
+        acc = step(acc, rows[:, k])
+    np.testing.assert_allclose(b.conj(rows)[0], acc, rtol=1e-12, atol=1e-15)
 
 
 def _uniform_model(dims, n_classes):

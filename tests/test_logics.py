@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,16 +21,20 @@ from logicloss.formula import (
     Output,
     ParseContext,
     Sub,
+    batch_of_one,
     eval_crisp,
     parse,
     push_negations,
 )
 from logicloss.logics import (
     BACKEND_NAMES,
-    ONE_WHEN_TRUE,
-    ZERO_WHEN_TRUE,
+    LogicBackend,
+    agg_godel,
+    agg_lukasiewicz,
+    agg_product,
+    agg_sum,
+    agg_yager,
     dl2_atom,
-    dl2_connective,
     fuzzy_compare,
     fuzzy_le,
     i_godel,
@@ -40,22 +45,23 @@ from logicloss.logics import (
     i_yager,
     loss_function,
     make_backend,
-    n_standard,
     power_scaled,
     s_godel,
     s_lukasiewicz,
     s_prob_sum,
     s_yager,
     sigmoidal_truth,
-    t_godel,
-    t_lukasiewicz,
-    t_product,
-    t_yager,
     truth_function,
 )
-from oracles import finite_diff
+from oracles import finite_diff, pairwise_truth, t_godel, t_lukasiewicz, t_product, t_yager, two_slot
 
-TNORMS = {"G": t_godel, "LK": t_lukasiewicz, "YG": t_yager, "P": t_product}
+# the library's t-norms: each aggregation operator over two slots
+TNORMS = {
+    "G": two_slot(agg_godel),
+    "LK": two_slot(agg_lukasiewicz),
+    "YG": two_slot(agg_yager),
+    "P": two_slot(agg_product),
+}
 SNORMS = {"G": s_godel, "LK": s_lukasiewicz, "YG": s_yager, "PS": s_prob_sum}
 IMPLS = {
     "G": i_godel,
@@ -82,16 +88,16 @@ def _sigmoid_oracle(u: float, s: float = 9.0) -> float:
 
 
 def test_tnorm_godel_ignores_second_argument_growth():
-    assert t_godel(0.1, 1.0) == 0.1
-    assert t_godel(0.1, 0.2) == 0.1
+    assert TNORMS["G"](0.1, 1.0) == 0.1
+    assert TNORMS["G"](0.1, 0.2) == 0.1
 
 
 def test_tnorm_values():
-    assert t_lukasiewicz(0.7, 0.5) == pytest.approx(0.2)
-    assert t_lukasiewicz(0.3, 0.5) == 0.0
-    assert t_product(0.2, 0.3) == pytest.approx(0.06)
+    assert TNORMS["LK"](0.7, 0.5) == pytest.approx(0.2)
+    assert TNORMS["LK"](0.3, 0.5) == 0.0
+    assert TNORMS["P"](0.2, 0.3) == pytest.approx(0.06)
     for y in (0.0, 0.25, 1.0):
-        assert t_yager(1.0, y) == pytest.approx(y, abs=1e-15)
+        assert TNORMS["YG"](1.0, y) == pytest.approx(y, abs=1e-15)
 
 
 def test_snorm_values():
@@ -210,47 +216,48 @@ def test_sn_implication_identities():
     rng = random.Random(14)
     for _ in range(10_000):
         x, y = rng.random(), rng.random()
-        assert i_kleene_dienes(x, y) == s_godel(n_standard(x), y)
-        assert abs(i_reichenbach(x, y) - s_prob_sum(n_standard(x), y)) <= 1e-12
+        assert i_kleene_dienes(x, y) == s_godel(1.0 - x, y)
+        assert abs(i_reichenbach(x, y) - s_prob_sum(1.0 - x, y)) <= 1e-12
 
 
 def _residuum_sup(t, x, y):
-    best = 0.0
-    for i in range(1001):
-        cand = i / 1000.0
-        if t(x, cand) <= y:
-            best = cand
-    return best
+    # the largest candidate on a 1e-3 grid with t(x, cand) <= y; 0 always is
+    grid = np.arange(1001) / 1000.0
+    return grid[t(x, grid) <= y].max()
 
 
 def test_residuum_property():
     rng = random.Random(15)
     for _ in range(100):
         x, y = rng.random(), rng.random()
-        assert abs(i_godel(x, y) - _residuum_sup(t_godel, x, y)) <= 2e-3
-        assert abs(i_goguen(x, y) - _residuum_sup(t_product, x, y)) <= 2e-3
+        assert abs(i_godel(x, y) - _residuum_sup(TNORMS["G"], x, y)) <= 2e-3
+        assert abs(i_goguen(x, y) - _residuum_sup(TNORMS["P"], x, y)) <= 2e-3
 
 
 def test_shadow_lifting_product_strict():
     rng = random.Random(16)
+    points = []
     for _ in range(10_000):
         x = 1e-6 + rng.random() * (1.0 - 1e-6)
         y2 = rng.random()
         y1 = min(1.0, y2 + 1e-9 + rng.random() * (1.0 - y2))
-        assert t_product(x, y1) > t_product(x, y2)
+        points.append((x, y1, y2))
+    x, y1, y2 = np.array(points).T
+    assert np.all(TNORMS["P"](x, y1) > TNORMS["P"](x, y2))
 
 
 def test_shadow_lifting_godel_counterexample():
-    assert t_godel(0.1, 1.0) == t_godel(0.1, 0.2) == 0.1
+    assert TNORMS["G"](0.1, 1.0) == TNORMS["G"](0.1, 0.2) == 0.1
 
 
 def test_dl2_conjunction_strictly_monotone():
+    conj = two_slot(make_backend("dl2").conj)
     rng = random.Random(17)
     for _ in range(1000):
         a = rng.random() * 5.0
         b = rng.random() * 5.0
         d = 1e-9 + rng.random()
-        assert dl2_connective("and", a + d, b) > dl2_connective("and", a, b)
+        assert conj(a + d, b) > conj(a, b)
 
 
 def test_godel_implication_has_no_antecedent_gradient():
@@ -302,15 +309,15 @@ def test_fuzzy_le_scale_invariant_without_floor():
 
 def test_fuzzy_compare_forms():
     le = fuzzy_le(0.7, 0.5)
-    assert fuzzy_compare("<", 0.7, 0.5, t_product) == le
-    assert fuzzy_compare(">=", 0.5, 0.7, t_product) == le
-    assert fuzzy_compare(">", 0.5, 0.7, t_product) == le
+    assert fuzzy_compare("<", 0.7, 0.5, agg_product) == le
+    assert fuzzy_compare(">=", 0.5, 0.7, agg_product) == le
+    assert fuzzy_compare(">", 0.5, 0.7, agg_product) == le
     eq = t_product(fuzzy_le(0.7, 0.5), fuzzy_le(0.5, 0.7))
-    assert fuzzy_compare("==", 0.7, 0.5, t_product) == eq
-    assert fuzzy_compare("!=", 0.7, 0.5, t_product) == 1.0 - eq
-    assert fuzzy_compare("==", 0.4, 0.4, t_product) == 1.0
+    assert fuzzy_compare("==", 0.7, 0.5, agg_product) == eq
+    assert fuzzy_compare("!=", 0.7, 0.5, agg_product) == 1.0 - eq
+    assert fuzzy_compare("==", 0.4, 0.4, agg_product) == 1.0
     with pytest.raises(ValueError):
-        fuzzy_compare("<>", 0.1, 0.2, t_product)
+        fuzzy_compare("<>", 0.1, 0.2, agg_product)
 
 
 def test_dl2_atom_values():
@@ -331,11 +338,11 @@ def test_dl2_atom_values():
 
 
 def test_dl2_connective_values():
-    assert dl2_connective("and", 0.5, 1.5) == 2.0
-    assert dl2_connective("or", 0.5, 0.0) == 0.0
-    assert dl2_connective("or", 0.5, 2.0) == 1.0
-    with pytest.raises(ValueError):
-        dl2_connective("xor", 0.1, 0.2)
+    dl2 = make_backend("dl2")
+    assert dl2.conj is agg_sum
+    assert two_slot(dl2.conj)(0.5, 1.5) == 2.0
+    assert dl2.disj(0.5, 0.0) == 0.0
+    assert dl2.disj(0.5, 2.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +355,11 @@ def test_backend_registry():
     for name in BACKEND_NAMES:
         b = make_backend(name)
         assert b.name == name
-    assert make_backend("dl2").polarity == ZERO_WHEN_TRUE
-    assert make_backend("rc").polarity == ONE_WHEN_TRUE
+    # a backend holds one conjunction, and nothing the compiler derives: no
+    # implication means a violation measure with "->" and "not" rewritten
+    assert [f.name for f in dataclasses.fields(LogicBackend)] == ["name", "conj", "disj", "impl", "compare"]
+    assert make_backend("dl2").impl is None
+    assert all(make_backend(name).impl is not None for name in BACKEND_NAMES[1:])
 
 
 def test_backend_unknown_name():
@@ -367,15 +377,15 @@ def test_backend_parameter_validation():
         make_backend("rc-s", sigmoidal_s=0.0)
     with pytest.raises(ValueError):
         make_backend("dl2", xi=0.0)
-    nan = float("nan")
-    for name, option in (
-        ("rc", "eps"),
-        ("yg", "yager_p"),
-        ("rc-s", "sigmoidal_s"),
-        ("dl2", "xi"),
-    ):
-        with pytest.raises(ValueError):
-            make_backend(name, **{option: nan})
+    for bad in (float("nan"), float("inf")):
+        for name, option in (
+            ("rc", "eps"),
+            ("yg", "yager_p"),
+            ("rc-s", "sigmoidal_s"),
+            ("dl2", "xi"),
+        ):
+            with pytest.raises(ValueError, match=f"^{option} must be"):
+                make_backend(name, **{option: bad})
 
 
 def test_backend_impl_tables():
@@ -385,13 +395,14 @@ def test_backend_impl_tables():
     gg = make_backend("gg")
     assert gg.impl(0.8, 0.4) == 0.5
     yg = make_backend("yg")
-    assert yg.conj(1.0, 0.25) == pytest.approx(0.25)
+    assert two_slot(yg.conj)(1.0, 0.25) == pytest.approx(0.25)
     tlk = make_backend("tlk")
-    assert tlk.conj(0.7, 0.5) == pytest.approx(0.2)  # Lukasiewicz t-norm
+    assert two_slot(tlk.conj)(0.7, 0.5) == pytest.approx(0.2)  # Lukasiewicz t-norm
     assert tlk.disj(0.5, 0.5) == 0.75  # probabilistic sum
 
-    # every fuzzy backend against the operators it should use, with a
-    # non-default Yager p to check that p reaches both Yager operators
+    # every fuzzy backend against the operators it should use (the pairwise
+    # t-norms from the oracles), with a non-default Yager p to check that p
+    # reaches both Yager operators
     def yager_t(x, y):
         return t_yager(x, y, 3.0)
 
@@ -422,7 +433,7 @@ def test_backend_impl_tables():
     grid = (0.0, 0.25, 0.5, 0.8, 1.0)
     for name, ops in expected.items():
         b = make_backend(name, yager_p=3.0)
-        for op, want in zip((b.conj, b.disj, b.impl), ops):
+        for op, want in zip((two_slot(b.conj), b.disj, b.impl), ops):
             for x in grid:
                 for y in grid:
                     assert op(x, y) == min(1.0, max(0.0, want(x, y))), (name, want, x, y)
@@ -433,7 +444,7 @@ def test_backend_options_reach_operators():
     narrow = make_backend("rc", eps=0.05)
     assert wide.compare("<=", 0.7, 0.5) != narrow.compare("<=", 0.7, 0.5)
     p3 = make_backend("yg", yager_p=3.0)
-    assert p3.conj(0.5, 0.5) == pytest.approx(t_yager(0.5, 0.5, 3.0))
+    assert two_slot(p3.conj)(0.5, 0.5) == pytest.approx(t_yager(0.5, 0.5, 3.0))
     soft = make_backend("rc-s", sigmoidal_s=2.0)
     hard = make_backend("rc-s", sigmoidal_s=9.0)
     assert soft.impl(0.9, 0.2) != hard.impl(0.9, 0.2)
@@ -537,11 +548,57 @@ def test_compile_bigand_folds_left():
     f = parse("forall g in Gs: sum(out[g]) >= eps", ctx)
     b = make_backend("rc")
     env = Env(outputs=[0.4, 0.3, 0.2, 0.1])
-    want = b.conj(
+    want = two_slot(b.conj)(
         b.compare(">=", 0.4 + 0.3, 0.05),
         b.compare(">=", 0.2 + 0.1, 0.05),
     )
     assert truth_function(f, b)(env) == want == 1.0
+
+
+CTX4 = ParseContext(n_classes=4, consts={"eps": 0.05})
+# random rows, and rows with ties, zeros and exact thresholds
+_EQ_ROWS = np.vstack(
+    [
+        np.random.default_rng(5).dirichlet(np.ones(4), size=4),
+        [[0.25, 0.25, 0.25, 0.25], [0.4, 0.4, 0.1, 0.1], [0.0, 0.0, 1.0, 0.0], [0.25, 0.5, 0.125, 0.125]],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "out[0] == out[1]",
+        "out[0] != out[1]",
+        "not (out[0] <= out[2])",
+        "not (out[0] == out[1])",
+        "(out[0] == out[1]) and (out[2] != out[3])",
+        "(out[0] == 0.25) or not (out[1] != out[2])",
+        # the first two conjuncts share a template, so its == runs on
+        # (batch, members) arrays
+        "((out[3] >= 0.1) -> (out[0] == out[1])) and ((out[2] >= 0.1) -> (out[1] == out[3]))"
+        " and not (out[0] != out[3])",
+    ],
+)
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_eq_ne_and_not_score_as_the_pairwise_composition(name, text):
+    """`==` reduces its two soft comparisons by the backend's conjunction in
+    one node and `not` is 1 - x; both score as the pairwise t-norm inside
+    the [0,1] clip and the clipped 1 - x: values bit for bit, gradients to
+    1e-15 of the largest entry, one sample's float exactly."""
+    f = parse(text, CTX4)
+    backend = make_backend(name)
+    truth = truth_function(f, backend)
+    leaf = var(np.ascontiguousarray(_EQ_ROWS.T))
+    env = Env(outputs=leaf)
+    got, want = truth(env), pairwise_truth(f, backend, env)
+    n = len(_EQ_ROWS)
+    assert np.array_equal(np.broadcast_to(val(got), (n,)), np.broadcast_to(val(want), (n,)))
+    g, w = (np.broadcast_to(grad(v, [leaf])[leaf], leaf.value.shape) for v in (got, want))
+    assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(), (g, w)
+    for row in _EQ_ROWS:
+        one = Env(outputs=[float(p) for p in row])
+        assert truth(one) == np.asarray(val(pairwise_truth(f, backend, batch_of_one(one)))).item()
 
 
 def _rand_fragment_formula(rng, depth):
