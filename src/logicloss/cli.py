@@ -11,6 +11,7 @@ import sys
 
 from logicloss.constraints import builtin_tables, make_parse_context, synthetic_tables
 from logicloss.experiment import (
+    CONSTRAINT_NAMES,
     LAMBDA_GRID,
     ExperimentConfig,
     error_message,
@@ -67,7 +68,7 @@ def _add_backend_options(p):
 def _add_train_options(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--logic", choices=BACKEND_NAMES, dest="backend")
-    p.add_argument("--constraint", choices=("csim", "group", "lipschitz"))
+    p.add_argument("--constraint", choices=CONSTRAINT_NAMES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)

@@ -20,13 +20,15 @@ share one copy of their template on the tape, evaluated over a (batch,
 conjuncts) array gathered from the leaf, and the conjunction is one
 reduction node over that axis, so the tape does not grow with the number
 of conjuncts either.  The parameters are one flat vector (`Model`), a
-batch's gradient is one new vector laid out the same way, and the
-optimizer steps the whole vector at once.
+batch's gradient is one new vector laid out the same way
+(`Gradients.vector`, with per-layer views of it), and `Optimizer.step`
+takes only that vector and steps it whole; a vector of another shape is
+refused before anything moves.  The logical weight must be non-negative
+and finite.
 """
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,65 +65,27 @@ class Model:
                     f"layer {k} has weights {np.shape(W)} and biases {np.shape(b)}, "
                     f"layer sizes {sizes} need {want} and {want[:1]}"
                 )
-        shapes = tuple(np.shape(a) for pair in zip(weights, biases) for a in pair)
-        self._bind(layer_sizes, shapes, _pack(zip(weights, biases)))
-
-    def _bind(self, layer_sizes, shapes, params):
-        self.layer_sizes = layer_sizes
-        self._shapes = shapes
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        shapes = [np.shape(a) for a in arrays]
         bounds = [0, *itertools.accumulate(map(math.prod, shapes))]
         layout = [(slice(a, b), shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
         self._layout = layout[0::2], layout[1::2]  # weights, biases
-        self.params = params
-        self.weights, self.biases = self._views(params)
+        self.layer_sizes = layer_sizes
+        self.params = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+        self.weights, self.biases = self._views(self.params)
 
     def __reduce__(self):
-        # pickling and deepcopy rebuild the views over the copied vector
-        return _model_from_params, (self.layer_sizes, self._shapes, self.params)
+        # pickling and deepcopy rebuild the model, and its views, from copies of its arrays
+        return Model, (self.layer_sizes, self.weights, self.biases)
 
     @property
     def n_params(self):
         return self.params.size
 
-    def copy(self):
-        return _model_from_params(self.layer_sizes, self._shapes, self.params.copy())
-
     def _views(self, vec):
         """([W0, W1, ...], [b0, b1, ...]): views of a vector laid out as
-        `params`.  The last views made are kept, so that `Optimizer.step`
-        can tell them from other arrays."""
-        w_layout, b_layout = self._layout
-        ws = [vec[at].reshape(shape) for at, shape in w_layout]
-        bs = [vec[at].reshape(shape) for at, shape in b_layout]
-        self._last_views = vec, tuple(ws), tuple(bs)
-        return ws, bs
-
-    def _vector_of(self, grads_w, grads_b):
-        """The vector that `grads_w` and `grads_b` are views of, if they are
-        the last views `_views` made; else the arrays packed into a new
-        vector laid out as `params`."""
-        vec, ws, bs = self._last_views
-        if _same(grads_w, ws) and _same(grads_b, bs):
-            return vec
-        shapes = tuple(np.shape(a) for pair in zip(grads_w, grads_b) for a in pair)
-        if len(grads_w) != len(grads_b) or shapes != self._shapes:
-            raise ValueError(f"gradients have shapes {shapes}, the model's arrays {self._shapes}")
-        return _pack(zip(grads_w, grads_b))
-
-
-def _same(arrays, views):
-    return len(arrays) == len(views) and all(map(operator.is_, arrays, views))
-
-
-def _model_from_params(layer_sizes, shapes, params):
-    m = Model.__new__(Model)
-    m._bind(layer_sizes, shapes, params)
-    return m
-
-
-def _pack(pairs):
-    """(weight, bias) pairs as one new float64 vector, W0, b0, W1, b1, ..."""
-    return np.concatenate([np.ravel(a) for pair in pairs for a in pair]).astype(float, copy=False)
+        `params`."""
+        return tuple([vec[at].reshape(shape) for at, shape in part] for part in self._layout)
 
 
 def init_model(layer_sizes, seed):
@@ -238,13 +202,16 @@ def compile_constraint(constraint, backend):
 
 
 class Gradients(tuple):
-    """The tuple (ce, logic, grads_w, grads_b) of one batch, and
-    `logic_grad_zero`: whether the logic term's gradient was exactly zero
-    (or not computed, at lambda 0), so that these are the gradients of
-    lambda 0 whatever lambda was."""
+    """The tuple (ce, logic, grads_w, grads_b) of one batch, with
+    `vector`, the one gradient vector laid out as `Model.params` that
+    `grads_w` and `grads_b` are views of, and `logic_grad_zero`: whether
+    the logic term's gradient was exactly zero (or not computed, at
+    lambda 0), so that these are the gradients of lambda 0 whatever lambda
+    was."""
 
-    def __new__(cls, ce, logic, grads_w, grads_b, logic_grad_zero):
+    def __new__(cls, ce, logic, grads_w, grads_b, vector, logic_grad_zero):
         self = super().__new__(cls, (ce, logic, grads_w, grads_b))
+        self.vector = vector
         self.logic_grad_zero = logic_grad_zero
         return self
 
@@ -256,10 +223,10 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     `constraint` is a formula, compiled under `backend` on this call, or a
     `CompiledConstraint`, which a training run builds once and reuses for
     every batch (`backend` is then not read).  The gradients are views of
-    one new vector laid out as `m.params`.
+    one new vector laid out as `m.params`, `Gradients.vector`.
     """
-    if not lam >= 0.0:
-        raise ValueError(f"logical weight must be non-negative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"logical weight must be non-negative and finite, got {lam}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_batch(m, X)
@@ -300,7 +267,8 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     if not logic_grad_zero:
         d_logits += d_logic
 
-    grads_w, grads_b = m._views(np.empty(m.n_params))
+    vector = np.empty(m.n_params)
+    grads_w, grads_b = m._views(vector)
     delta = d_logits
     for k in reversed(range(len(m.weights))):
         np.matmul(delta.T, acts[k], out=grads_w[k])
@@ -309,7 +277,7 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
             # relu'(0) := 1, matching the tape's tie convention in vmax
             delta = delta @ m.weights[k]
             delta *= masks[k - 1]
-    return Gradients(ce, logic, grads_w, grads_b, logic_grad_zero)
+    return Gradients(ce, logic, grads_w, grads_b, vector, logic_grad_zero)
 
 
 @dataclass
@@ -326,17 +294,11 @@ class Optimizer:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
-    def copy(self):
-        """The optimizer with its own copy of the velocity."""
-        c = Optimizer(self.lr, self.momentum)
-        c._vel = None if self._vel is None else self._vel.copy()
-        return c
-
-    def step(self, m, grads_w, grads_b):
-        """Move `m.params` by the per-layer gradients; views of one
-        gradient vector from `loss_gradients` are read in place, and other
-        arrays are packed into one first."""
-        g = m._vector_of(grads_w, grads_b)
+    def step(self, m, g):
+        """Move `m.params` by `g`, a gradient vector laid out as
+        `m.params` (`Gradients.vector`)."""
+        if np.shape(g) != m.params.shape:
+            raise ValueError(f"gradient has shape {np.shape(g)}, the model's parameters {m.params.shape}")
         if self._vel is None:
             self._vel = np.zeros_like(m.params)
         v = self._vel
@@ -354,5 +316,5 @@ def train_step(m, batch, lam, backend, constraint, opt, only_if_logic_grad_zero=
     X, y = batch
     g = loss_gradients(m, X, y, lam, backend, constraint)
     if g.logic_grad_zero or not only_if_logic_grad_zero:
-        opt.step(m, g[2], g[3])
+        opt.step(m, g.vector)
     return g[0], g[1], g.logic_grad_zero

@@ -44,7 +44,7 @@ from logicloss.formula import (
     conjuncts,
     parse,
 )
-from logicloss.network import Model, Optimizer, TrainingDiverged, init_model
+from logicloss.network import Model, TrainingDiverged, init_model
 from oracles import pairwise_conj, two_slot
 from test_data import _write_idx
 
@@ -881,8 +881,8 @@ def test_a_sweep_that_never_splits_steps_one_model_and_starts_no_pool(jobs, monk
 
     monkeypatch.setattr(experiment, "train_step", counting_step)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(Model, "copy", no_copy)
-    monkeypatch.setattr(Optimizer, "copy", no_copy)
+    # deepcopy and pickling both copy a model through its __reduce__
+    monkeypatch.setattr(Model, "__reduce__", no_copy)
     grid = [0.0, 0.4, 2.0]
     _, reports = _sweep_reports(FLAT_CFG, grid, jobs, monkeypatch)
     batches = -(-FLAT_CFG.n_train // FLAT_CFG.batch_size)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_lambda_zero_update_equals_pure_ce():
     y = rng.integers(0, 4, size=8)
 
     a = init_model([3, 5, 4], seed=21)
-    b = a.copy()
+    b = copy.deepcopy(a)
     train_step(a, (X, y), 0.0, backend, constraint, Optimizer(lr=0.1))
     train_step(b, (X, y), 0.0, None, None, Optimizer(lr=0.1))
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
@@ -250,7 +251,7 @@ def test_satisfied_dl2_constraint_is_inert():
     y = rng.integers(0, 3, size=6)
 
     a = init_model([3, 5, 3], seed=22)
-    b = a.copy()
+    b = copy.deepcopy(a)
     ce, logic, logic_grad_zero = train_step(a, (X, y), 5.0, backend, constraint, Optimizer(lr=0.1))
     assert train_step(b, (X, y), 0.0, None, None, Optimizer(lr=0.1)) == (ce, 0.0, True)
     assert logic == 0.0 and logic_grad_zero
@@ -288,8 +289,8 @@ def test_copies_of_a_model_and_its_optimizer_train_apart_from_them():
     y = rng.integers(0, 4, size=8)
     m, opt = init_model([3, 5, 4], seed=25), Optimizer(lr=0.1, momentum=0.9)
     train_step(m, (X, y), 0.0, None, None, opt)
-    m2, opt2 = m.copy(), opt.copy()
-    frozen = m.copy()
+    m2, opt2 = copy.deepcopy(m), copy.deepcopy(opt)
+    frozen = copy.deepcopy(m)
     train_step(m2, (X, y), 0.0, None, None, opt2)
     assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, frozen.weights + frozen.biases))
     train_step(m, (X, y), 0.0, None, None, opt)
@@ -299,7 +300,6 @@ def test_copies_of_a_model_and_its_optimizer_train_apart_from_them():
     # each way of making a model lays its arrays over a vector of its own,
     # so a step on it moves its weights and biases and no one else's
     made = {
-        "copy": m.copy(),
         "deepcopy": copy.deepcopy(m),
         "pickle": pickle.loads(pickle.dumps(m)),
         "arrays": Model(m.layer_sizes, [w.copy() for w in m.weights], [b.copy() for b in m.biases]),
@@ -311,7 +311,7 @@ def test_copies_of_a_model_and_its_optimizer_train_apart_from_them():
         assert not any(np.shares_memory(a, m.params) for a in arrays), how
         assert sum(a.size for a in arrays) == c.params.size == m.n_params, how
         before = [a.copy() for a in arrays]
-        train_step(c, (X, y), 0.0, None, None, opt.copy())
+        train_step(c, (X, y), 0.0, None, None, copy.deepcopy(opt))
         assert not any(np.array_equal(a, b) for a, b in zip(arrays, before)), how
         assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases, source)), how
 
@@ -323,20 +323,28 @@ def test_a_step_reads_plain_gradient_arrays_as_their_packed_vector():
     a, b = init_model([3, 5, 4], seed=26), init_model([3, 5, 4], seed=26)
     opt_a, opt_b = Optimizer(lr=0.1, momentum=0.9), Optimizer(lr=0.1, momentum=0.9)
     for _ in range(3):
-        _, _, gw, gb = loss_gradients(a, X, y)
-        assert all(np.shares_memory(g, gw[0].base) for g in gw + gb)
-        opt_a.step(a, gw, gb)
-        _, _, gw, gb = loss_gradients(b, X, y)
-        opt_b.step(b, [g.copy() for g in gw], [g.copy() for g in gb])
+        g = loss_gradients(a, X, y)
+        assert all(np.shares_memory(v, g.vector) for v in g[2] + g[3])
+        opt_a.step(a, g.vector)
+        _, _, (W0, W1), (b0, b1) = loss_gradients(b, X, y)
+        opt_b.step(b, np.concatenate([W0.ravel(), b0, W1.ravel(), b1]))
     assert np.array_equal(a.params, b.params)
-    with pytest.raises(ValueError, match="shapes"):
-        opt_a.step(a, gw[:1], gb[:1])
+
+    # a vector of another shape moves neither the parameters nor the velocity
+    params, vel = a.params.copy(), opt_a._vel.copy()
+    fresh = Optimizer(lr=0.1, momentum=0.9)
+    for bad in (g.vector[:-1], np.append(g.vector, 0.0), g.vector[None, :]):
+        for opt in (opt_a, fresh):
+            with pytest.raises(ValueError, match=rf"shape {re.escape(str(bad.shape))}.*\({a.n_params},\)"):
+                opt.step(a, bad)
+    assert np.array_equal(a.params, params) and np.array_equal(opt_a._vel, vel)
+    assert fresh._vel is None
 
 
 def test_loss_gradients_rejects_a_nan_or_negative_lambda():
     m = init_model([3, 4], seed=0)
     X, y = np.zeros((2, 3)), np.zeros(2, dtype=int)
-    for lam in (math.nan, -0.5):
+    for lam in (math.nan, -0.5, math.inf):
         with pytest.raises(ValueError, match="non-negative"):
             loss_gradients(m, X, y, lam, make_backend("rc"), Cmp("<=", Const(0.0), Output(0)))
 
@@ -397,10 +405,10 @@ def test_optimizer_validation():
 def test_momentum_accumulates_velocity():
     m = Model((1, 1), [np.array([[0.0]])], [np.array([0.0])])
     opt = Optimizer(lr=0.1, momentum=0.5)
-    g = [np.array([[1.0]])], [np.array([0.0])]
-    opt.step(m, *g)
+    g = np.array([1.0, 0.0])  # W0, b0
+    opt.step(m, g)
     assert m.weights[0][0, 0] == pytest.approx(-0.1)
-    opt.step(m, *g)
+    opt.step(m, g)
     # velocity: 1.0 then 1.5
     assert m.weights[0][0, 0] == pytest.approx(-0.1 - 0.15)
 
@@ -414,8 +422,8 @@ def test_momentum_zero_is_plain_sgd():
     (gw1, gb1), (gw2, gb2) = [(rng.normal(size=(4, 3)), rng.normal(size=4)) for _ in range(2)]
     gw1[0, 0] = 0.0
     gb2[:] = 0.0
-    opt.step(m, [gw1], [gb1])
-    opt.step(m, [gw2], [gb2])
+    opt.step(m, np.concatenate([gw1.ravel(), gb1]))
+    opt.step(m, np.concatenate([gw2.ravel(), gb2]))
     assert np.array_equal(m.weights[0], W - 0.05 * gw1 - 0.05 * gw2)
     assert np.array_equal(m.biases[0], b - 0.05 * gb1 - 0.05 * gb2)
 
