@@ -26,6 +26,21 @@ class IdxFormatError(ValueError):
     """Raised for malformed IDX files."""
 
 
+def integer_labels(labels):
+    """`labels` as an int array.  A label with a fractional part, or one
+    that is not finite, raises ValueError naming the first such label; an
+    integer array passes on its dtype alone."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "iu":
+        return y.astype(int, copy=False)
+    with np.errstate(invalid="ignore"):
+        as_int = y.astype(int)
+    bad = as_int != y
+    if bad.any():
+        raise ValueError(f"label {y[bad][0].item()!r} is not an integer")
+    return as_int
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, dims) float
@@ -35,7 +50,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = integer_labels(self.labels)
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ValueError("features must be (n, dims) aligned with labels")
         if not np.all(np.isfinite(self.features)):

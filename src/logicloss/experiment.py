@@ -85,7 +85,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("epochs", "batch_size", "n_train", "n_test", "n_classes", "dims"):
             _count(key, getattr(self, key))
-        for width in self.hidden:
+        try:
+            if isinstance(self.hidden, str):
+                raise TypeError("a string is not a sequence of widths")
+            widths = tuple(self.hidden)
+        except TypeError as exc:
+            raise ValueError(f"hidden={self.hidden!r}: hidden must be a sequence of integer widths") from exc
+        for width in widths:
             _count("hidden widths", width)
         if not _is_index(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
@@ -95,6 +101,7 @@ class ExperimentConfig:
         # The checks each value meets later in a run, made here so that a bad
         # value fails before any data is loaded, under its own key.
         for key, check in (
+            ("dataset", lambda: _check_dataset(self.dataset)),
             ("backend", lambda: make_backend(self.backend)),
             ("xi", lambda: make_backend("dl2", xi=self.xi)),
             ("yager_p", lambda: make_backend("yg", yager_p=self.yager_p)),
@@ -109,7 +116,7 @@ class ExperimentConfig:
         ):
             try:
                 check()
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{key}={getattr(self, key)!r}: {exc}") from exc
         # an idx dataset sets the class count, so `setup_run` checks its
         # tables once it has loaded
@@ -183,13 +190,14 @@ def load_config(path):
     except ValueError:
         # a check reads one key and the dataset, or those and the constraint
         # it pairs with or the class count it sizes against, so a bad key
-        # also fails with those alone
+        # also fails with those alone; the dataset is checked alone first,
+        # since every other key is checked with it
         dataset = {k: values[k] for k in ("dataset",) if k in values}
         partners = [{**dataset, k: values[k]} for k in ("constraint", "n_classes") if k in values]
-        for context in [dataset, *partners]:
-            for key, value in values.items():
+        for context, keys in [({}, dataset), *((c, values) for c in [dataset, *partners])]:
+            for key in keys:
                 try:
-                    ExperimentConfig(**{**context, key: value})
+                    ExperimentConfig(**{**context, key: values[key]})
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lines[key]}: {exc}") from exc
         raise
@@ -281,41 +289,44 @@ def _split_idx_dataset(spec):
     )
 
 
+def _check_dataset(name):
+    if not (name == "synthetic" or isinstance(name, str) and name.startswith("idx:")):
+        raise ValueError(f"unknown dataset {name!r}; valid: synthetic, idx:<img>,<lbl>")
+
+
 def _load_data(cfg):
     if cfg.dataset == "synthetic":
         return gen_synthetic(
             cfg.seed, cfg.n_train, cfg.n_test, cfg.n_classes, cfg.dims, cfg.noise_frac
         )
-    if cfg.dataset.startswith("idx:"):
-        return _split_idx_dataset(cfg.dataset)
-    raise ValueError(f"unknown dataset {cfg.dataset!r}; valid: synthetic, idx:<img>,<lbl>")
+    return _split_idx_dataset(cfg.dataset)
 
 
 def prediction_accuracy(m, d):
-    return _prediction_accuracy(forward_batch(m, d.features), d)
+    return _prediction_accuracy(forward_batch(m, d.features).T, d)
 
 
 def constraint_accuracy(m, d, f):
     """Percentage of test samples (pairs, for two-sample constraints)
     whose crisp evaluation holds on the model's outputs."""
-    return _constraint_accuracy(crisp_fn(f), uses_paired_samples(f), forward_batch(m, d.features), d)
+    return _constraint_accuracy(crisp_fn(f), uses_paired_samples(f), forward_batch(m, d.features).T, d)
 
 
 def _prediction_accuracy(probs, d):
-    return 100.0 * float((probs.argmax(axis=1) == d.labels).mean())
+    """`probs` is the set's (classes, samples) probability matrix."""
+    return 100.0 * float((probs.argmax(axis=0) == d.labels).mean())
 
 
 def _constraint_accuracy(fn, paired, probs, d):
     """One call of the crisp evaluator `fn` covers the whole set: the
-    outputs and the inputs are (entries, samples) matrices, as in training,
-    and the rows pair up as `formula.sample_rows` says."""
-    k, rows = sample_rows(len(d), paired)
+    outputs, `probs`, and the inputs are (entries, samples) matrices, as in
+    training, the inputs a transposed view of the features, and the columns
+    pair up as `formula.sample_rows` says."""
+    k, cols = sample_rows(len(d), paired)
     if k == 0:
         raise ValueError("need at least two samples for a paired constraint")
-    env = batch_env(
-        [np.ascontiguousarray(probs[r].T) for r in rows],
-        [np.ascontiguousarray(d.features[r].T) for r in rows],
-    )
+    inputs = d.features.T
+    env = batch_env([probs[:, c] for c in cols], [inputs[:, c] for c in cols])
     hits = int(np.count_nonzero(np.broadcast_to(fn(env), (k,))))
     return 100.0 * hits / k
 
@@ -429,7 +440,7 @@ def _train(setup, lams, state=None):
             state.start += cfg.batch_size
         if crisp is None:
             crisp, paired = crisp_fn(constraint), uses_paired_samples(constraint)
-        probs = forward_batch(state.model, test.features)
+        probs = forward_batch(state.model, test.features).T
         state.reports.append(
             EpochReport(
                 epoch=state.epoch,

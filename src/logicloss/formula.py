@@ -222,11 +222,12 @@ def batch_of_one(env: Env) -> Env | None:
 
 
 def sample_rows(n: int, paired: bool) -> tuple[int, tuple]:
-    """How a batch of n rows is scored: (k units, row selections).
+    """How a batch of n samples is scored: (k units, selections along the
+    sample axis), the columns of an (entries, samples) matrix.
 
-    A one-sample formula scores every row.  A paired formula reads the even
-    rows as the first sample and the odd rows as the second, so k = n // 2
-    and an odd tail row stays unused.
+    A one-sample formula scores every sample.  A paired formula reads the
+    even samples as the first of a pair and the odd samples as the second,
+    so k = n // 2 and an odd tail sample stays unused.
     """
     if not paired:
         return n, (slice(None),)
@@ -236,7 +237,7 @@ def sample_rows(n: int, paired: bool) -> tuple[int, tuple]:
 
 def batch_env(outputs: Sequence, inputs: Sequence) -> Env:
     """The bindings of a batch, given the output and the input matrix of
-    each row selection from `sample_rows`, in the same order."""
+    each sample selection from `sample_rows`, in the same order."""
     if len(outputs) == 1:
         return Env(outputs=outputs[0], inputs=inputs[0])
     return Env(outputs=outputs[0], outputs2=outputs[1], inputs=inputs[0], inputs2=inputs[1])

@@ -3,17 +3,26 @@
 The training loss is ``ce + lam * logic`` where ``ce`` is mean
 cross-entropy and ``logic`` is the mean compiled constraint loss over the
 batch (over consecutive sample pairs for constraints that relate two
-samples).  Cross-entropy gradients are computed in closed form, from one
-softmax pass: one shift, exp and row sum give the probabilities, the
-cross-entropy (the shifted logit at each target minus the log row sum)
-and its gradient (the probabilities, less 1 at each target, over the
-batch size).  The forward pass keeps each hidden layer's ``z >= 0`` mask
-for backprop in place of its pre-activation, and adds biases, applies
-ReLU and masks deltas in place.  The constraint term is differentiated
-on the tape once per batch: the batch's probabilities are one leaf, an
-(outputs, samples) matrix (two, one per sample of a pair, for a paired
-constraint), so the tape's size does not grow with the batch, the number
-of classes or the model, and the leaf's adjoint, the probability-space
+samples).  The network computes in the (entries, samples) layout that the
+tape and the crisp evaluator take: a layer is ``W @ A`` with its bias
+added down the sample axis, the first reading the row-major batch ``X``
+as the view ``X.T``, so a batch's logits and probabilities are one
+(classes, n) matrix.  Backprop takes ``delta @ A.T`` for the weight
+gradients (for the first layer ``delta @ X``, a plain product) and
+``W.T @ delta`` for the deltas.  The API stays row-major: a batch is
+(n, dims), `forward_batch` returns (n, classes), a transposed view, and
+each gradient has its parameter's shape.  Cross-entropy gradients are
+computed in closed form, from one softmax pass: one shift, exp and column
+sum give the probabilities, the cross-entropy (the shifted logit at each
+target minus the log column sum) and its gradient (the probabilities, less
+1 at each target, over the batch size).  The forward pass keeps each
+hidden layer's ``z >= 0`` mask for backprop in place of its
+pre-activation, and adds biases, applies ReLU and masks deltas in place.
+The constraint term is differentiated on the tape once per batch: the
+probability matrix is the leaf of a one-sample constraint, itself and not
+a copy, and its even and its odd columns are the two leaves of a paired
+one, so the tape's size does not grow with the batch, the number of
+classes or the model, and a leaf's adjoint, the probability-space
 gradient, is chained through the softmax Jacobian in one array
 expression.  Conjuncts of one shape (the csim triples, groups of one size)
 share one copy of their template on the tape, evaluated over a (batch,
@@ -24,7 +33,7 @@ batch's gradient is one new vector laid out the same way
 (`Gradients.vector`, with per-layer views of it), and `Optimizer.step`
 takes only that vector and steps it whole; a vector of another shape is
 refused before anything moves.  The logical weight must be non-negative
-and finite.
+and finite, and a label must be an integer in [0, n_classes).
 """
 
 import itertools
@@ -35,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from logicloss.autodiff import Node, grad, var
+from logicloss.data import integer_labels
 from logicloss.formula import batch_env, sample_rows, uses_paired_samples
 from logicloss.logics import loss_function
 
@@ -108,39 +118,42 @@ def init_model(layer_sizes, seed):
     return Model(sizes, weights, biases)
 
 
-def _forward_cache(m, X):
-    """Forward pass with what backprop reads: acts[k] is the input to layer
-    k and acts[-1] the logits; masks[k] is hidden layer k's `z >= 0`.
+def _forward(m, X, masks=None):
+    """Forward pass of the row-major batch `X` (n, dims) in the (entries,
+    samples) layout: acts[k] is the input to layer k, (fan_in, n), and
+    acts[-1] the (classes, n) logits; acts[0] is X.T, a view.  With a list
+    `masks`, each hidden layer's `z >= 0` is appended to it for backprop.
 
-    Each layer's output is one new array, written in place: the bias add,
-    then ReLU after its mask is taken.
+    Each layer's output is one new array, W @ A, written in place: the bias
+    add down the sample axis, then ReLU after its mask is taken.
     """
-    acts = [X]
-    masks = []
+    acts = [X.T]
     last = len(m.weights) - 1
     for k, (W, b) in enumerate(zip(m.weights, m.biases)):
-        z = acts[-1] @ W.T
-        z += b
+        z = W @ acts[-1]
+        z += b[:, None]
         if k < last:
-            masks.append(z >= 0.0)
+            if masks is not None:
+                masks.append(z >= 0.0)
             np.maximum(z, 0.0, out=z)
         acts.append(z)
-    return acts, masks
+    return acts
 
 
-def _softmax(z, y=None):
-    """Overwrite logits `z` with their row softmax.
+def _softmax(z, at=None):
+    """Overwrite logits `z`, (classes, n), with the softmax of each column.
 
-    With targets `y`, also return each row's log-softmax at its target,
-    from the same shift, exp and row sum.
+    With `at`, each column's target as a flat index into `z`, also return
+    each column's log-softmax at its target, from the same shift, exp and
+    column sum.
     """
-    z -= z.max(axis=-1, keepdims=True)
-    log_p = None if y is None else z[np.arange(len(z)), y]
+    z -= z.max(axis=0)
+    log_p = None if at is None else z.take(at)
     np.exp(z, out=z)
-    s = z.sum(axis=-1, keepdims=True)
+    s = z.sum(axis=0)
     z /= s
-    if y is not None:
-        log_p -= np.log(s[:, 0])
+    if at is not None:
+        log_p -= np.log(s)
     return log_p
 
 
@@ -152,39 +165,44 @@ def _check_batch(m, X):
 
 
 def forward_batch(m, X):
+    """Class probabilities of the row-major batch `X`, as (n, classes): the
+    transpose of the (classes, n) matrix the network computes, a view."""
     X = np.asarray(X, dtype=float)
     _check_batch(m, X)
-    probs = _forward_cache(m, X)[0][-1]
+    probs = _forward(m, X)[-1]
     _softmax(probs)
-    return probs
+    return probs.T
 
 
 def _logic_grads(fn, paired, probs, X, lam):
-    """Mean constraint loss and its logit-space gradient over a batch; the
-    gradient is None when the loss does not reach the tape.
+    """Mean constraint loss and its logit-space gradient, (classes, n), over
+    a batch given as its (classes, n) probabilities and its (dims, n)
+    inputs; the gradient is None when the loss does not reach the tape.
 
-    One tape pass covers the whole batch: the rows pair up as
-    `formula.sample_rows` says, and each row selection's probabilities are
-    one leaf, an (outputs, samples) matrix, whose adjoint is their whole
-    probability-space gradient.  The chain through softmax is
-    dz = p * (g - g.p) for every row at once.
+    One tape pass covers the whole batch: the columns pair up as
+    `formula.sample_rows` says, and each column selection's probabilities
+    are one leaf, whose adjoint is their whole probability-space gradient.
+    A one-sample constraint's leaf is `probs` itself; a paired one's are its
+    even and its odd columns, views.  The chain through softmax is
+    dz = p * (g - g.p) for every column at once.
     """
-    k, rows = sample_rows(len(probs), paired)
+    k, cols = sample_rows(probs.shape[1], paired)
     if k == 0:
         return 0.0, None
-    leaves = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
-    lv = fn(batch_env(leaves, [np.ascontiguousarray(X[r].T) for r in rows]))
+    leaves = [var(probs[:, c]) for c in cols]
+    lv = fn(batch_env(leaves, [X[:, c] for c in cols]))
     losses = lv.value if isinstance(lv, Node) else lv
     total = float(np.sum(np.broadcast_to(losses, (k,))))
     if not isinstance(lv, Node):
         return total / k, None
     g = grad(lv, leaves)
-    d_logits = np.zeros_like(probs)
-    for r, leaf in zip(rows, leaves):
-        p = probs[r]
-        gp = np.empty(p.shape)
-        gp[...] = np.transpose(g[leaf])
-        d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
+    parts = [leaf.value * (g[leaf] - (g[leaf] * leaf.value).sum(axis=0)) for leaf in leaves]
+    if paired:
+        d_logits = np.zeros_like(probs)
+        for c, part in zip(cols, parts):
+            d_logits[:, c] = part
+    else:
+        d_logits = parts[0]
     d_logits *= lam / k
     return total / k, d_logits
 
@@ -228,7 +246,7 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"logical weight must be non-negative and finite, got {lam}")
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = integer_labels(y)
     _check_batch(m, X)
     n = X.shape[0]
     if n == 0:
@@ -239,10 +257,13 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     if y.min() < 0 or y.max() >= n_classes:
         bad = y[(y < 0) | (y >= n_classes)][0]
         raise ValueError(f"label {bad} is out of range for n_classes={n_classes}")
-    acts, masks = _forward_cache(m, X)
+    masks = []
+    acts = _forward(m, X, masks)
     probs = acts.pop()
+    # the flat index of each column's target in the (classes, n) matrix
+    at = y * n + np.arange(n)
     # np.mean's bits, without its overhead
-    ce = float(-_softmax(probs, y).sum() / n)
+    ce = float(-_softmax(probs, at).sum() / n)
 
     logic = 0.0
     d_logic = None
@@ -251,7 +272,7 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
             if backend is None:
                 raise ValueError("backend=None: a formula constraint needs a backend to compile under")
             constraint = compile_constraint(constraint, backend)
-        logic, d_logic = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
+        logic, d_logic = _logic_grads(constraint.fn, constraint.paired, probs, acts[0], lam)
 
     if not np.isfinite(ce) or not np.isfinite(logic):
         raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
@@ -262,7 +283,7 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
 
     # probs, read for the last time above, becomes (probs - onehot(y)) / n
     d_logits = probs
-    d_logits[np.arange(n), y] -= 1.0
+    d_logits.reshape(-1)[at] -= 1.0
     d_logits /= n
     if not logic_grad_zero:
         d_logits += d_logic
@@ -271,11 +292,12 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     grads_w, grads_b = m._views(vector)
     delta = d_logits
     for k in reversed(range(len(m.weights))):
-        np.matmul(delta.T, acts[k], out=grads_w[k])
-        np.add.reduce(delta, axis=0, out=grads_b[k])
+        # acts[0].T is X itself, so layer 0's product is a plain GEMM
+        np.matmul(delta, acts[k].T, out=grads_w[k])
+        np.add.reduce(delta, axis=1, out=grads_b[k])
         if k > 0:
             # relu'(0) := 1, matching the tape's tie convention in vmax
-            delta = delta @ m.weights[k]
+            delta = m.weights[k].T @ delta
             delta *= masks[k - 1]
     return Gradients(ce, logic, grads_w, grads_b, vector, logic_grad_zero)
 

@@ -21,10 +21,14 @@ fold's step for a backend, and `two_slot` the library's operator on two
 arguments.  `pairwise_truth` scores a formula composed from the pairwise
 operators: every conjunction a fold, a fuzzy `==` the t-norm of the two
 soft comparisons, `!=` and `not` one minus a value.
-`dense_forward_batch` and `dense_loss_gradients` are the dense path as it
-was first written, with separate softmax and log-softmax passes, a one-hot
-CE gradient and the pre-activations kept for the ReLU mask; the library's
-single-pass, in-place version must equal them bit for bit.
+`dense_forward_batch` and `dense_loss_gradients` are the dense path
+unfused, in the library's (entries, samples) layout, with separate softmax
+and log-softmax passes, a one-hot CE gradient and the pre-activations kept
+for the ReLU mask; the library's single-pass, in-place version must equal
+them bit for bit.  `rowmajor_forward_batch` and `rowmajor_loss_gradients`
+are the same formulas with every batch held as (samples, entries) rows, as
+the dense path was first written, logic term included; they reduce in
+another order, so the library agrees with them to rounding.
 """
 
 import functools
@@ -34,7 +38,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from logicloss.autodiff import DomainError, Node, aggregate, grad, report_margin, val, var, vmax, vmin, vpow
-from logicloss.formula import And, Cmp, Env, Implies, Not, Or, conjuncts, expr_fn, push_negations
+from logicloss.formula import (
+    And,
+    Cmp,
+    Env,
+    Implies,
+    Not,
+    Or,
+    batch_env,
+    conjuncts,
+    expr_fn,
+    push_negations,
+    sample_rows,
+)
 from logicloss.logics import _clip01, agg_godel, agg_lukasiewicz, agg_product, agg_sum, loss_function
 from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
 
@@ -220,7 +236,74 @@ def _pairwise(f, backend, conj, env):
 
 
 def _dense_forward(m, X):
-    # acts[k] is the input to layer k; zs[k] its pre-activation.
+    # acts[k] is the input to layer k, (fan_in, n); zs[k] its pre-activation
+    acts = [X.T]
+    zs = []
+    a = X.T
+    last = len(m.weights) - 1
+    for k, (W, b) in enumerate(zip(m.weights, m.biases)):
+        z = W @ a + b[:, None]
+        zs.append(z)
+        a = np.maximum(z, 0.0) if k < last else z
+        acts.append(a)
+    return acts, zs
+
+
+def _softmax(logits, axis):
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(logits, axis):
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def dense_forward_batch(m, X):
+    _, zs = _dense_forward(m, np.asarray(X, dtype=float))
+    return _softmax(zs[-1], axis=0).T
+
+
+def dense_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
+    """`network.loss_gradients`, unfused, in its (entries, samples) layout;
+    the logic term is the library's."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    acts, zs = _dense_forward(m, X)
+    logits = zs[-1]
+    probs = _softmax(logits, axis=0)
+    ce = float(-_log_softmax(logits, axis=0)[y, np.arange(n)].mean())
+
+    onehot = np.zeros_like(probs)
+    onehot[y, np.arange(n)] = 1.0
+    d_logits = (probs - onehot) / n
+
+    logic = 0.0
+    if lam > 0.0 and constraint is not None:
+        if not isinstance(constraint, CompiledConstraint):
+            constraint = compile_constraint(constraint, backend)
+        logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X.T, lam)
+        if d_extra is not None:
+            d_logits = d_logits + d_extra
+
+    if not np.isfinite(ce) or not np.isfinite(logic):
+        raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
+
+    grads_w = [None] * len(m.weights)
+    grads_b = [None] * len(m.biases)
+    delta = d_logits
+    for k in reversed(range(len(m.weights))):
+        grads_w[k] = delta @ acts[k].T
+        grads_b[k] = delta.sum(axis=1)
+        if k > 0:
+            delta = (m.weights[k].T @ delta) * (zs[k - 1] >= 0.0)
+    return ce, logic, grads_w, grads_b
+
+
+def _rowmajor_forward(m, X):
+    # acts[k] is the input to layer k, (n, fan_in); zs[k] its pre-activation
     acts = [X]
     zs = []
     a = X
@@ -233,31 +316,43 @@ def _dense_forward(m, X):
     return acts, zs
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def rowmajor_forward_batch(m, X):
+    _, zs = _rowmajor_forward(m, np.asarray(X, dtype=float))
+    return _softmax(zs[-1], axis=1)
 
 
-def _log_softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _rowmajor_logic_grads(fn, paired, probs, X, lam):
+    """The logic term of a batch held as (samples, entries) rows: each row
+    selection's probabilities, transposed, are one leaf, and the adjoint is
+    transposed back and chained through the softmax row by row."""
+    k, rows = sample_rows(len(probs), paired)
+    if k == 0:
+        return 0.0, None
+    leaves = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
+    lv = fn(batch_env(leaves, [np.ascontiguousarray(X[r].T) for r in rows]))
+    total = float(np.sum(np.broadcast_to(val(lv), (k,))))
+    if not isinstance(lv, Node):
+        return total / k, None
+    g = grad(lv, leaves)
+    d_logits = np.zeros_like(probs)
+    for r, leaf in zip(rows, leaves):
+        p = probs[r]
+        gp = np.broadcast_to(np.transpose(g[leaf]), p.shape)
+        d_logits[r] = p * (gp - (gp * p).sum(axis=1, keepdims=True))
+    return total / k, d_logits * (lam / k)
 
 
-def dense_forward_batch(m, X):
-    _, zs = _dense_forward(m, np.asarray(X, dtype=float))
-    return _softmax(zs[-1])
-
-
-def dense_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
-    """`network.loss_gradients`, unfused; the logic term is the library's."""
+def rowmajor_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
+    """`network.loss_gradients` with every batch held as (samples, entries)
+    rows, as it was first written: the same formulas in the other layout,
+    so it agrees with the library to rounding, not bit for bit."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n = X.shape[0]
-    acts, zs = _dense_forward(m, X)
+    acts, zs = _rowmajor_forward(m, X)
     logits = zs[-1]
-    probs = _softmax(logits)
-    ce = float(-_log_softmax(logits)[np.arange(n), y].mean())
+    probs = _softmax(logits, axis=1)
+    ce = float(-_log_softmax(logits, axis=1)[np.arange(n), y].mean())
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), y] = 1.0
@@ -267,12 +362,9 @@ def dense_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     if lam > 0.0 and constraint is not None:
         if not isinstance(constraint, CompiledConstraint):
             constraint = compile_constraint(constraint, backend)
-        logic, d_extra = _logic_grads(constraint.fn, constraint.paired, probs, X, lam)
+        logic, d_extra = _rowmajor_logic_grads(constraint.fn, constraint.paired, probs, X, lam)
         if d_extra is not None:
             d_logits = d_logits + d_extra
-
-    if not np.isfinite(ce) or not np.isfinite(logic):
-        raise TrainingDiverged(f"non-finite loss: ce={ce}, logic={logic}")
 
     grads_w = [None] * len(m.weights)
     grads_b = [None] * len(m.biases)

@@ -82,11 +82,18 @@ def _rel_err(got, want):
     return diff / scale if scale else diff
 
 
+def _columns(rows):
+    """A batch held as (samples, entries) rows, as the C-ordered (entries,
+    samples) matrix that `_logic_grads` takes in training."""
+    return np.ascontiguousarray(np.transpose(rows))
+
+
 def _logic_grads_dense(fn, paired, probs, X, lam):
-    """`_logic_grads` with its gradient as an array: None, for a loss that
-    never reached the tape, is the zero gradient."""
-    loss, grad = _logic_grads(fn, paired, probs, X, lam)
-    return loss, np.zeros_like(probs) if grad is None else grad
+    """`_logic_grads` on a batch of (samples, entries) rows, with its
+    gradient as rows: None, for a loss that never reached the tape, is the
+    zero gradient."""
+    loss, grad = _logic_grads(fn, paired, _columns(probs), _columns(X), lam)
+    return loss, np.zeros_like(probs) if grad is None else grad.T
 
 
 def _assert_matches_scalar(backend_name, constraint, probs, X):
@@ -169,13 +176,13 @@ def test_fully_saturated_batch_matches_scalar_loop(backend_name, constraint):
 def test_paired_constraint_ignores_the_odd_tail():
     fn, paired = _compiled("rc", "lipschitz")
     rng = np.random.default_rng(5)
-    probs = rng.dirichlet(np.ones(N_CLASSES), size=5)
-    X = rng.normal(size=(5, N_INPUTS))
-    loss4, grad4 = _logic_grads(fn, paired, probs[:4], X[:4], LAM)
+    probs = _columns(rng.dirichlet(np.ones(N_CLASSES), size=5))
+    X = _columns(rng.normal(size=(5, N_INPUTS)))
+    loss4, grad4 = _logic_grads(fn, paired, probs[:, :4], X[:, :4], LAM)
     loss5, grad5 = _logic_grads(fn, paired, probs, X, LAM)
     assert loss5 == loss4
-    assert np.array_equal(grad5[:4], grad4) and not grad5[4].any()
-    assert _logic_grads(fn, paired, probs[:1], X[:1], LAM)[0] == 0.0
+    assert np.array_equal(grad5[:, :4], grad4) and not grad5[:, 4].any()
+    assert _logic_grads(fn, paired, probs[:, :1], X[:, :1], LAM)[0] == 0.0
 
 
 # -- masked branches ------------------------------------------------------
@@ -269,13 +276,13 @@ def test_a_batch_records_per_row_the_margins_of_that_row_scored_alone():
     for backend_name, constraint in COMBOS:
         fn, paired = _compiled(backend_name, constraint)
         with track_branch_margins() as batch:
-            _logic_grads(fn, paired, probs, X, LAM)
+            _logic_grads(fn, paired, _columns(probs), _columns(X), LAM)
         assert batch, (backend_name, constraint)
         width = 2 if paired else 1
         for u in range(len(probs) // width):
             rows = slice(width * u, width * (u + 1))
             with track_branch_margins() as alone:
-                _logic_grads(fn, paired, probs[rows], X[rows], LAM)
+                _logic_grads(fn, paired, _columns(probs[rows]), _columns(X[rows]), LAM)
             assert _row_margins(batch, u) == _row_margins(alone, 0), (backend_name, constraint, u)
 
 

@@ -44,7 +44,7 @@ from logicloss.logics import (
     truth_function,
 )
 from oracles import finite_diff, pairwise_conj
-from test_batched_tape import REL_TOL, _logic_grads_dense, _rel_err, _scalar_reference
+from test_batched_tape import REL_TOL, _columns, _logic_grads_dense, _rel_err, _scalar_reference
 
 N_CLASSES = 10
 N_INPUTS = 4
@@ -121,11 +121,13 @@ def _batches():
 
 
 def _leaf_env(f, probs, X):
-    """The batch Env that `_logic_grads` builds: one leaf matrix of
-    probabilities per row selection, and one input matrix each."""
-    k, rows = sample_rows(len(probs), uses_paired_samples(f))
-    outputs = [var(np.ascontiguousarray(probs[r].T)) for r in rows]
-    return k, batch_env(outputs, [np.ascontiguousarray(X[r].T) for r in rows])
+    """The batch Env that `_logic_grads` builds from (samples, entries)
+    rows: one leaf per column selection of the (outputs, samples)
+    probability matrix, and one selection of the (inputs, samples) matrix
+    each."""
+    k, cols = sample_rows(len(probs), uses_paired_samples(f))
+    P, Xc = _columns(probs), _columns(X)
+    return k, batch_env([var(P[:, c]) for c in cols], [Xc[:, c] for c in cols])
 
 
 def _alone(f, backend, env):

@@ -82,6 +82,13 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.array([0]), 3)
 
 
+def test_dataset_rejects_a_label_with_a_fractional_part():
+    with pytest.raises(ValueError, match=r"^label 1.7 is not an integer"):
+        Dataset(np.zeros((2, 2)), np.array([1.7, 0.2]), 3)
+    d = Dataset(np.zeros((2, 2)), np.array([2.0, 0.0]), 3)
+    assert d.labels.dtype.kind == "i" and list(d.labels) == [2, 0]
+
+
 def _write_idx(path, dims, payload):
     header = struct.pack(">HBB", 0, 0x08, len(dims))
     header += struct.pack(f">{len(dims)}I", *dims)

@@ -3,6 +3,7 @@ import functools
 import multiprocessing
 import os
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -157,6 +158,24 @@ def test_config_checks_the_synthetic_sizes_before_any_data_loads(monkeypatch, si
     ExperimentConfig(dataset="idx:a,b", **sizes)
 
 
+@pytest.mark.parametrize(
+    "key,bad,message",
+    [
+        ("hidden", 64, "hidden=64: hidden must be a sequence of integer widths"),
+        ("hidden", "64", "hidden='64': hidden must be a sequence of integer widths"),
+        ("lr", "0.1", "lr='0.1': "),
+        ("momentum", "0.5", "momentum='0.5': "),
+        ("noise_frac", "0.1", "noise_frac='0.1': "),
+        ("xi", "1", "xi='1': "),
+    ],
+)
+def test_config_names_the_key_of_a_value_of_the_wrong_type_before_any_data_loads(monkeypatch, key, bad, message):
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as info:
+        run(ExperimentConfig(**{key: bad}))
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)])
 def test_config_rejects_hidden_widths_below_one(hidden):
     with pytest.raises(ValueError, match="hidden widths must be >= 1"):
@@ -166,6 +185,8 @@ def test_config_rejects_hidden_widths_below_one(hidden):
 @pytest.mark.parametrize(
     "key,bad",
     [
+        ("dataset", "nope"),
+        ("dataset", 3),
         ("backend", "nope"),
         ("constraint", "nope"),
         ("tables", "nope"),
@@ -363,6 +384,7 @@ def test_load_config_names_the_file_and_line_of_a_value_that_fails_validation(tm
         ("backend = rc\nepochs = 0\n", ":2: ", "epochs must be >= 1, got 0"),
         ("# run\nlambda = 0.5\n\nbackend = nope\nseed = 1\n", ":4: ", "backend='nope': unknown backend"),
         ("epochs = 3\nhidden = 8,0\n", ":2: ", "hidden widths must be >= 1"),
+        ("epochs = 3\ndataset = nope\n", ":2: ", "dataset='nope': unknown dataset 'nope'"),
         # too few dims only for this many classes
         ("n_classes = 30\ndims = 15\n", ":2: ", "dims=15: the synthetic generator needs dims >= 17"),
     ):

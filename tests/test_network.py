@@ -10,7 +10,9 @@ from logicloss.autodiff import grad, track_branch_margins
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
 from logicloss.formula import Cmp, Const, Env, Output
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
+from logicloss import network
 from logicloss.network import (
+    CompiledConstraint,
     Model,
     Optimizer,
     TrainingDiverged,
@@ -20,7 +22,13 @@ from logicloss.network import (
     loss_gradients,
     train_step,
 )
-from oracles import dense_forward_batch, dense_loss_gradients, tape_loss
+from oracles import (
+    dense_forward_batch,
+    dense_loss_gradients,
+    rowmajor_forward_batch,
+    rowmajor_loss_gradients,
+    tape_loss,
+)
 
 
 def test_param_counts():
@@ -226,6 +234,68 @@ def test_dense_path_equals_the_unfused_oracle_bit_for_bit(n, tie):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
+_ROWMAJOR_TABLES = synthetic_tables(10)
+_ROWMAJOR_FORMULAS = {
+    "csim": csim_formula(_ROWMAJOR_TABLES.triples, 10),
+    "group": group_formula(_ROWMAJOR_TABLES.groups, eps=0.05),
+    "lipschitz": lipschitz_formula(0.001),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 256])
+@pytest.mark.parametrize("constraint", list(_ROWMAJOR_FORMULAS))
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_dense_path_agrees_with_the_row_major_formulas(backend_name, constraint, n):
+    """The (entries, samples) layout reduces in another order than the
+    (samples, entries) formulas, so the two agree to rounding: gradients
+    within 4e-15 of the largest entry, and losses within 1e-15 relative,
+    or absolute below 1.  The losses are made from probabilities, so their
+    rounding is on that scale; dl2's csim loss at batch 7 is a 1.5e-5
+    remainder of such terms, and its 3.4e-20 difference is 2.3e-15 of it."""
+    m = init_model([12, 16, 10], seed=37)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 12)) * 2.0
+    y = rng.integers(0, 10, size=n)
+    backend, f = make_backend(backend_name), _ROWMAJOR_FORMULAS[constraint]
+    ce, logic, gw, gb = loss_gradients(m, X, y, 0.8, backend, f)
+    ref_ce, ref_logic, ref_gw, ref_gb = rowmajor_loss_gradients(m, X, y, 0.8, backend, f)
+    assert abs(ce - ref_ce) <= 1e-15 * max(abs(ref_ce), 1.0)
+    assert abs(logic - ref_logic) <= 1e-15 * max(abs(ref_logic), 1.0)
+    got, want = (np.concatenate([a.ravel() for a in g]) for g in (gw + gb, ref_gw + ref_gb))
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+    assert np.allclose(forward_batch(m, X), rowmajor_forward_batch(m, X), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_one_sample_leaf_is_the_probability_matrix_that_forward_batch_returns(monkeypatch, n):
+    """A one-sample constraint's tape leaf is the (classes, n) probability
+    matrix itself, not a copy, and `forward_batch` returns those same
+    probabilities as (n, classes), a view."""
+    m = init_model([5, 6, 10], seed=41)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 5))
+    y = rng.integers(0, 10, size=n)
+    term = _dense_terms()[0]
+    softmaxed, leaves = [], []
+
+    def keep(z, at=None):
+        softmaxed.append(z)
+        return real_softmax(z, at)
+
+    def spy(env):
+        leaves.append((env.outputs.value, env.outputs.value.copy()))
+        return term.fn(env)
+
+    real_softmax = network._softmax
+    monkeypatch.setattr(network, "_softmax", keep)
+    loss_gradients(m, X, y, 0.8, None, CompiledConstraint(spy, False))
+    (probs,), ((leaf, scored),) = softmaxed, leaves
+    assert leaf.shape == probs.shape == (10, n) and np.shares_memory(leaf, probs)
+    got = forward_batch(m, X)
+    assert got.shape == (n, 10) and got.base is not None
+    assert np.array_equal(got, scored.T)
+
+
 def test_lambda_zero_update_equals_pure_ce():
     backend = make_backend("rc")
     constraint = csim_formula(synthetic_tables(4).triples, 4)
@@ -372,6 +442,24 @@ def test_loss_gradients_rejects_a_label_out_of_range(label):
     m = init_model([3, 4], seed=0)
     with pytest.raises(ValueError, match=rf"label {label} .*n_classes=4"):
         loss_gradients(m, np.zeros((2, 3)), np.array([label, 0]))
+
+
+@pytest.mark.parametrize(
+    "labels,named",
+    [([1.7, 0.2], "1.7"), ([1.0, 2.5], "2.5"), ([np.nan, 0.0], "nan"), ([0.0, np.inf], "inf")],
+)
+def test_loss_gradients_rejects_a_label_with_a_fractional_part(labels, named):
+    m = init_model([3, 4], seed=0)
+    with pytest.raises(ValueError, match=rf"^label {named} is not an integer"):
+        loss_gradients(m, np.zeros((2, 3)), np.array(labels))
+
+
+def test_integral_float_labels_train_as_their_integers():
+    m = init_model([3, 4], seed=0)
+    X = np.random.default_rng(2).normal(size=(3, 3))
+    got = loss_gradients(m, X, np.array([3.0, 0.0, 1.0]))
+    want = loss_gradients(m, X, np.array([3, 0, 1]))
+    assert got[0] == want[0] and np.array_equal(got.vector, want.vector)
 
 
 def test_a_model_rejects_arrays_that_do_not_fit_its_layer_sizes():
