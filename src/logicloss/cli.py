@@ -1,5 +1,11 @@
 """Command line front end: evaluate formulas, train, sweep, print tables.
 
+`train` and `sweep` have one flag per `ExperimentConfig` field: `--` and
+the field's name with `_` turned into `-` (`n_train` is `--n-train`),
+except `--logic` for `backend` and `--lambda` for `lam`, which only
+`train` has.  A flag reads its text as a config file's `key = value` line
+does (`parse_setting`), and overrides that key of `--config`.
+
 Exit codes: 0 success, 1 usage error (bad flags, names, or formula text),
 2 runtime error (diverged training, I/O).
 """
@@ -8,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import partial
 
 from logicloss.constraints import builtin_tables, make_parse_context, synthetic_tables
 from logicloss.experiment import (
@@ -17,13 +24,14 @@ from logicloss.experiment import (
     error_message,
     lambda_sweep,
     load_config,
+    parse_setting,
     report_lines,
     run,
     select_result,
     write_report,
 )
-from logicloss.formula import Env, ParseContext, ParseError, eval_crisp, parse
-from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
+from logicloss.formula import Env, ParseContext, eval_crisp, parse
+from logicloss.logics import BACKEND_NAMES, EPS, loss_function, make_backend
 from logicloss.network import TrainingDiverged
 
 
@@ -51,42 +59,42 @@ def _vector(text):
     return values
 
 
-def _hidden(text):
+def _setting(name, text):
+    # an ArgumentTypeError reaches the user prefixed by the flag's name
     try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated layer sizes, got {text!r}")
+        return parse_setting(name, text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_backend_options(p):
-    p.add_argument("--eps", type=float, default=0.05, help="comparison scale slack")
-    p.add_argument("--xi", type=float, default=1.0, help="strict-inequality penalty")
-    p.add_argument("--yager-p", type=float, default=2.0)
-    p.add_argument("--sigmoidal-s", type=float, default=9.0)
+_FLAGS = {"backend": "--logic", "lam": "--lambda"}
+_CHOICES = {"backend": BACKEND_NAMES, "constraint": CONSTRAINT_NAMES}
+_HELP = {
+    "dataset": "synthetic | idx:<images>,<labels>",
+    "tables": "auto | synthetic | fmnist | cifar10 | gtsrb",
+    "xi": "strict-inequality penalty",
+}
 
 
-def _add_train_options(p):
+def _add_setting_options(p, names, defaults=False):
+    """One flag per `ExperimentConfig` field in `names`.  A flag defaults to
+    its field's default with `defaults`, else to None, which
+    `_merged_config` reads as not given."""
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in names:
+            p.add_argument(
+                _FLAGS.get(field.name, "--" + field.name.replace("_", "-")),
+                dest=field.name,
+                type=partial(_setting, field.name),
+                choices=_CHOICES.get(field.name),
+                default=field.default if defaults else None,
+                help=_HELP.get(field.name),
+            )
+
+
+def _add_train_options(p, names):
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--logic", choices=BACKEND_NAMES, dest="backend")
-    p.add_argument("--constraint", choices=CONSTRAINT_NAMES)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--dataset", help="synthetic | idx:<images>,<labels>")
-    p.add_argument("--eps-group", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--yager-p", type=float)
-    p.add_argument("--sigmoidal-s", type=float)
-    p.add_argument("--lipschitz-l", type=float)
-    p.add_argument("--tables", help="auto | synthetic | fmnist | cifar10 | gtsrb")
-    p.add_argument("--n-classes", type=int)
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--dims", type=int)
-    p.add_argument("--noise-frac", type=float)
-    p.add_argument("--hidden", type=_hidden)
+    _add_setting_options(p, names)
     p.add_argument("--report", help="write the CSV here instead of stdout")
 
 
@@ -106,15 +114,18 @@ def _build_parser():
     ev.add_argument("--in", dest="inputs", type=_vector, help="input vector")
     ev.add_argument("--out2", type=_vector, help="second output vector")
     ev.add_argument("--in2", dest="inputs2", type=_vector, help="second input vector")
-    _add_backend_options(ev)
+    ev.add_argument(
+        "--eps", type=float, default=EPS, help="comparison scale slack; also the value of eps in --formula"
+    )
+    _add_setting_options(ev, ("xi", "yager_p", "sigmoidal_s"), defaults=True)
 
+    settings = [field.name for field in dataclasses.fields(ExperimentConfig)]
     tr = sub.add_parser("train", help="one training run, CSV report")
-    _add_train_options(tr)
-    # a sweep takes its lambdas from --sweep alone
-    tr.add_argument("--lambda", dest="lam", type=float)
+    _add_train_options(tr, settings)
 
     sw = sub.add_parser("sweep", help="one run per lambda value")
-    _add_train_options(sw)
+    # a sweep takes its lambdas from --sweep alone
+    _add_train_options(sw, [name for name in settings if name != "lam"])
     sw.add_argument(
         "--sweep",
         type=_floats,
@@ -141,13 +152,7 @@ def _eval_command(args):
     else:
         ctx = ParseContext(n_classes=n, consts={"eps": args.eps})
     f = parse(args.formula, ctx)
-    backend = make_backend(
-        args.logic,
-        eps=args.eps,
-        xi=args.xi,
-        yager_p=args.yager_p,
-        sigmoidal_s=args.sigmoidal_s,
-    )
+    backend = make_backend(args.logic, eps=args.eps, xi=args.xi, yager_p=args.yager_p, sigmoidal_s=args.sigmoidal_s)
     env = Env(
         outputs=args.out,
         inputs=args.inputs or (),
@@ -224,15 +229,8 @@ def _tables_command(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {error_message(exc)}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "eval":
             return _eval_command(args)
         if args.command == "train":
@@ -240,16 +238,12 @@ def main(argv=None):
         if args.command == "sweep":
             return _sweep_command(args)
         return _tables_command(args)
-    except UsageError as exc:
-        print(f"error: {error_message(exc)}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {error_message(exc)}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (TrainingDiverged, OSError) as exc:
         print(f"error: {error_message(exc)}", file=sys.stderr)
         return 2
-    except (ValueError, LookupError) as exc:
+    except (UsageError, ValueError, LookupError) as exc:  # a formula's ParseError is a ValueError
         print(f"error: {error_message(exc)}", file=sys.stderr)
         return 1
 

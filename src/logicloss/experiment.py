@@ -18,6 +18,7 @@ import dataclasses
 import math
 import numbers
 import operator
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from logicloss.formula import (
     sample_rows,
     uses_paired_samples,
 )
-from logicloss.logics import agg_product, closed01, make_backend, s_prob_sum
+from logicloss.logics import SIGMOIDAL_S, XI, YAGER_P, agg_product, closed01, make_backend, s_prob_sum
 from logicloss.network import (
     Model,
     Optimizer,
@@ -60,6 +61,10 @@ SELECT_WINDOW = 10  # select_result scores the last this many epochs
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one run.  Each field is the one declaration of a
+    setting: its name, its type, by which `parse_setting` reads its text,
+    and its default.  `logicloss train` has one flag per field."""
+
     dataset: str = "synthetic"
     backend: str = "rc"
     constraint: str = "csim"
@@ -70,9 +75,9 @@ class ExperimentConfig:
     lr: float = 0.05
     momentum: float = 0.9
     eps_group: float = 0.05
-    xi: float = 1.0
-    yager_p: float = 2.0
-    sigmoidal_s: float = 9.0
+    xi: float = XI
+    yager_p: float = YAGER_P
+    sigmoidal_s: float = SIGMOIDAL_S
     lipschitz_l: float = 1.0
     tables: str = "auto"
     n_classes: int = 10
@@ -80,7 +85,7 @@ class ExperimentConfig:
     n_test: int = 1000
     dims: int = 20
     noise_frac: float = 0.1
-    hidden: tuple = (64,)
+    hidden: tuple[int, ...] = (64,)
 
     def __post_init__(self):
         for key in ("epochs", "batch_size", "n_train", "n_test", "n_classes", "dims"):
@@ -98,26 +103,14 @@ class ExperimentConfig:
         if self.dataset == "synthetic":
             check_synthetic_sizes(self.n_classes, self.dims)
         _check_lambda(self.lam)
-        # The checks each value meets later in a run, made here so that a bad
-        # value fails before any data is loaded, under its own key.
-        for key, check in (
-            ("dataset", lambda: _check_dataset(self.dataset)),
-            ("backend", lambda: make_backend(self.backend)),
-            ("xi", lambda: make_backend("dl2", xi=self.xi)),
-            ("yager_p", lambda: make_backend("yg", yager_p=self.yager_p)),
-            ("sigmoidal_s", lambda: make_backend("rc-s", sigmoidal_s=self.sigmoidal_s)),
-            ("constraint", lambda: _check_constraint(self.constraint)),
-            ("tables", lambda: self.tables == "auto" or builtin_tables(self.tables)),
-            ("lr", lambda: Optimizer(lr=self.lr)),
-            ("momentum", lambda: Optimizer(lr=1.0, momentum=self.momentum)),
-            ("noise_frac", lambda: check_noise_frac(self.noise_frac)),
-            ("eps_group", lambda: check_group_eps(self.eps_group)),
-            ("lipschitz_l", lambda: lipschitz_formula(self.lipschitz_l)),
-        ):
+        for key, check in _CHECKS:
+            value = getattr(self, key)
             try:
-                check()
+                if _SETTINGS[key] is float and not _is_real(value):
+                    raise TypeError(f"expected a real number, got {type(value).__name__}")
+                check(value)
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}={getattr(self, key)!r}: {exc}") from exc
+                raise ValueError(f"{key}={value!r}: {exc}") from exc
         # an idx dataset sets the class count, so `setup_run` checks its
         # tables once it has loaded
         if self.dataset == "synthetic":
@@ -132,10 +125,58 @@ class ExperimentConfig:
                     )
 
 
+def _check_dataset(name):
+    if not (name == "synthetic" or isinstance(name, str) and name.startswith("idx:")):
+        raise ValueError(f"unknown dataset {name!r}; valid: synthetic, idx:<img>,<lbl>")
+
+
+def _check_constraint(name):
+    if name not in CONSTRAINT_NAMES:
+        raise ValueError(f"unknown constraint {name!r}; valid: {', '.join(CONSTRAINT_NAMES)}")
+
+
+# The checks each value meets later in a run, made when a config is built so
+# that a bad value fails before any data is loaded, under its own key.
+_CHECKS = (
+    ("dataset", _check_dataset),
+    ("backend", make_backend),
+    ("xi", lambda v: make_backend("dl2", xi=v)),
+    ("yager_p", lambda v: make_backend("yg", yager_p=v)),
+    ("sigmoidal_s", lambda v: make_backend("rc-s", sigmoidal_s=v)),
+    ("constraint", _check_constraint),
+    ("tables", lambda v: v == "auto" or builtin_tables(v)),
+    ("lr", lambda v: Optimizer(lr=v)),
+    ("momentum", lambda v: Optimizer(lr=1.0, momentum=v)),
+    ("noise_frac", check_noise_frac),
+    ("eps_group", check_group_eps),
+    ("lipschitz_l", lipschitz_formula),
+)
+
+# name -> type of every setting; a float setting must be a real number, as
+# the checks above would compare a bool as 0 or 1
+_SETTINGS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _is_real(value):
+    """Whether `value` is a real number of any real type; a bool is not one.
+    A float is tested first, as the ABC check takes ten times as long."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_lambda(lam):
-    """A lambda is a finite real number >= 0; a bool is not one."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam < math.inf:
+    """A lambda is a finite real number >= 0."""
+    if not _is_real(lam) or not 0.0 <= lam < math.inf:
         raise ValueError(f"lam={lam!r}: lambda must be non-negative")
+
+
+def parse_setting(key, text):
+    """Setting `key`'s value read from `text` by its field's type; a tuple
+    (`hidden`) is read from comma-separated entries."""
+    kind = _SETTINGS[key]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in text.split(","))
+    return kind(text)
 
 
 @dataclass
@@ -157,7 +198,6 @@ _KEY_ALIASES = {"lambda": "lam"}
 def load_config(path):
     """Read a key = value config file into an ExperimentConfig.  A key may
     be set once, under its own name or its alias."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values = {}
     lines = {}
     with open(path) as fh:
@@ -170,18 +210,15 @@ def load_config(path):
             key, _, raw = text.partition("=")
             key = _KEY_ALIASES.get(key.strip(), key.strip())
             raw = raw.strip()
-            if key not in fields:
+            if key not in _SETTINGS:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    + ", ".join(sorted(fields))
+                    + ", ".join(sorted(_SETTINGS))
                 )
             if key in lines:
                 raise ValueError(f"{path}:{lineno}: key {key!r} is already set at line {lines[key]}")
             try:
-                if key == "hidden":
-                    values[key] = tuple(int(v) for v in raw.split(","))
-                else:
-                    values[key] = fields[key].type(raw)
+                values[key] = parse_setting(key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
             lines[key] = lineno
@@ -227,11 +264,6 @@ def _constraint(cfg):
         return build_constraint(cfg, tables)
     except ValueError as exc:
         raise ValueError(f"tables={cfg.tables!r}: {exc}") from exc
-
-
-def _check_constraint(name):
-    if name not in CONSTRAINT_NAMES:
-        raise ValueError(f"unknown constraint {name!r}; valid: {', '.join(CONSTRAINT_NAMES)}")
 
 
 def build_constraint(cfg, tables):
@@ -287,11 +319,6 @@ def _split_idx_dataset(spec):
         Dataset(full.features[tr], full.labels[tr], full.n_classes, split="train"),
         Dataset(full.features[te], full.labels[te], full.n_classes, split="test"),
     )
-
-
-def _check_dataset(name):
-    if not (name == "synthetic" or isinstance(name, str) and name.startswith("idx:")):
-        raise ValueError(f"unknown dataset {name!r}; valid: synthetic, idx:<img>,<lbl>")
 
 
 def _load_data(cfg):

@@ -93,6 +93,15 @@ from .formula import (
     template,
 )
 
+# The defaults of the operators' parameters: `fuzzy_le`'s denominator
+# slack, dl2's strict-inequality penalty, Yager's p and the sigmoidal
+# implication's s.  The operators below, `make_backend`, `ExperimentConfig`
+# and the command line take their defaults from here.
+EPS = 0.05
+XI = 1.0
+YAGER_P = 2.0
+SIGMOIDAL_S = 9.0
+
 
 # ---------------------------------------------------------------------------
 # t-norms (fuzzy conjunction), each as its aggregation operator: the t-norm
@@ -144,7 +153,7 @@ def _lukasiewicz_fold_steps(sums, x):
     return np.where(live, sums, x - 1.0)
 
 
-def agg_yager(x, p: float = 2.0):
+def agg_yager(x, p: float = YAGER_P):
     # the fold, one conjunct at a time, with vpow's values and base-0
     # partials (`pow_parts`), so each step is the fold's bit for bit; a
     # step at 0 pins the fold at 0 from there on (1 - 0 to the p is 1, so
@@ -192,7 +201,7 @@ def s_lukasiewicz(x, y):
     return vmin(1.0, x + y)
 
 
-def s_yager(x, y, p: float = 2.0):
+def s_yager(x, y, p: float = YAGER_P):
     return vmin(1.0, vpow(vpow(x, p) + vpow(y, p), 1.0 / p))
 
 
@@ -259,7 +268,7 @@ def _clip01(x):
     return Node(c, (x,), (1.0,)) if isinstance(x, Node) else c
 
 
-def sigmoidal_truth(u, s: float = 9.0):
+def sigmoidal_truth(u, s: float = SIGMOIDAL_S):
     """Reshape a truth value by a scaled, renormalized sigmoid.
 
     Fixes 0, 1/2, and 1; flattens near the endpoints and steepens in the
@@ -271,7 +280,7 @@ def sigmoidal_truth(u, s: float = 9.0):
     return _clip01(raw)
 
 
-def sigmoidal(impl: Callable, s: float = 9.0) -> Callable:
+def sigmoidal(impl: Callable, s: float = SIGMOIDAL_S) -> Callable:
     def transformed(x, y):
         return sigmoidal_truth(impl(x, y), s)
 
@@ -305,7 +314,7 @@ def _hinge(d):
     return np.where(mask, d, 0.0), mask.astype(float)
 
 
-def fuzzy_le(x, y, eps: float = 0.05):
+def fuzzy_le(x, y, eps: float = EPS):
     """Soft truth of x <= y: 1 - max(x-y, 0) / (|x| + |y| + eps).
 
     Equals 1 exactly when x <= y, decays with the relative (not absolute)
@@ -331,7 +340,7 @@ def fuzzy_le(x, y, eps: float = 0.05):
     return record(1.0 - q, (x, lambda: r * np.sign(xv) - s), (y, lambda: s + r * np.sign(yv)))
 
 
-def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = 0.05):
+def fuzzy_compare(op: str, x, y, conj: Callable, eps: float = EPS):
     """Soft truth of `x op y` by `fuzzy_le`; `==` reduces the comparisons
     both ways by the aggregation operator `conj` in one node, and `!=` is
     1 minus that."""
@@ -360,7 +369,7 @@ def _dl2_eq_indicator(x, y):
     return np.equal(xv, yv).astype(float)
 
 
-def dl2_atom(op: str, x, y, xi: float = 1.0):
+def dl2_atom(op: str, x, y, xi: float = XI):
     """Non-negative violation of a single comparison.
 
     <= is max(x-y, 0); equality adds the two one-sided violations; the
@@ -435,10 +444,10 @@ BACKEND_NAMES = ("dl2",) + tuple(_FUZZY_TABLE)
 def make_backend(
     name: str,
     *,
-    eps: float = 0.05,
-    xi: float = 1.0,
-    yager_p: float = 2.0,
-    sigmoidal_s: float = 9.0,
+    eps: float = EPS,
+    xi: float = XI,
+    yager_p: float = YAGER_P,
+    sigmoidal_s: float = SIGMOIDAL_S,
 ) -> LogicBackend:
     if name == "dl2":
         if not 0.0 < xi < math.inf:

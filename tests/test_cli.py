@@ -1,10 +1,13 @@
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from logicloss.cli import _build_parser, main
+from logicloss import logics
+from logicloss.cli import _build_parser, _merged_config, main
+from logicloss.experiment import ExperimentConfig, load_config
 from logicloss.logics import BACKEND_NAMES
 
 
@@ -312,3 +315,104 @@ def test_readme_python_api_block_runs(capsys):
     assert 0.0 < truth < 1.0 and rc_loss == 1.0 - truth and dl2_loss > 0.0
     p_acc, c_acc = (float(v) for v in best.strip("()").split(","))
     assert 0.0 <= p_acc <= 100.0 and 0.0 <= c_acc <= 100.0
+
+
+def _subparsers():
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _option_strings(parser):
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+_COMMON = {
+    "-h", "--help", "--config", "--report", "--dataset", "--logic", "--constraint", "--epochs", "--batch-size",
+    "--seed", "--lr", "--momentum", "--eps-group", "--xi", "--yager-p", "--sigmoidal-s", "--lipschitz-l",
+    "--tables", "--n-classes", "--n-train", "--n-test", "--dims", "--noise-frac", "--hidden",
+}
+
+
+def test_the_option_strings_are_those_the_commands_have_always_had():
+    options = {name: _option_strings(p) for name, p in _subparsers().items()}
+    assert options == {
+        "eval": {
+            "-h", "--help", "--logic", "--formula", "--out", "--in", "--out2", "--in2",
+            "--eps", "--xi", "--yager-p", "--sigmoidal-s",
+        },
+        "train": _COMMON | {"--lambda"},
+        "sweep": _COMMON | {"--sweep", "--jobs", "--select"},
+        "tables": {"-h", "--help", "--dataset", "--n-classes"},
+    }
+
+
+def test_sweep_has_every_train_flag_but_lambda():
+    commands = _subparsers()
+    train, sweep = (
+        {action.dest: action.option_strings for action in commands[name]._actions} for name in ("train", "sweep")
+    )
+    assert {dest: train[dest] for dest in train if dest != "lam"}.items() <= sweep.items()
+    assert "lam" in train and "lam" not in sweep
+
+
+# a text for every setting, each read as a value other than its default
+_SETTING_TEXTS = {
+    "dataset": "idx:img,lbl",
+    "backend": "gg",
+    "constraint": "group",
+    "lam": "0.8",
+    "epochs": "7",
+    "batch_size": "32",
+    "seed": "3",
+    "lr": "0.1",
+    "momentum": "0.5",
+    "eps_group": "0.02",
+    "xi": "2.5",
+    "yager_p": "3",
+    "sigmoidal_s": "5",
+    "lipschitz_l": "0.5",
+    "tables": "synthetic",
+    "n_classes": "8",
+    "n_train": "100",
+    "n_test": "50",
+    "dims": "12",
+    "noise_frac": "0.2",
+    "hidden": "16,8",
+}
+
+
+def test_every_setting_has_a_text_in_the_flag_test():
+    assert list(_SETTING_TEXTS) == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+
+@pytest.mark.parametrize("key,text", _SETTING_TEXTS.items())
+def test_a_flag_and_a_config_line_build_equal_configs(tmp_path, key, text):
+    flag = {"backend": "--logic", "lam": "--lambda"}.get(key, "--" + key.replace("_", "-"))
+    from_flag = _merged_config(_build_parser().parse_args(["train", flag, text]))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    from_file = load_config(path)
+    assert from_flag == from_file
+    assert getattr(from_file, key) != getattr(ExperimentConfig(), key)
+    assert type(getattr(from_flag, key)) is type(getattr(from_file, key))
+
+
+def test_eval_and_the_config_read_the_operator_defaults_from_logics():
+    args = _build_parser().parse_args(["eval", "--logic", "rc", "--formula", "out[0] <= 0.5", "--out", "0.5,0.5"])
+    defaults = {"eps": logics.EPS, "xi": logics.XI, "yager_p": logics.YAGER_P, "sigmoidal_s": logics.SIGMOIDAL_S}
+    assert {key: getattr(args, key) for key in defaults} == defaults
+    cfg = ExperimentConfig()
+    assert (cfg.xi, cfg.yager_p, cfg.sigmoidal_s) == (logics.XI, logics.YAGER_P, logics.SIGMOIDAL_S)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train", "--hidden", "8,x"], "argument --hidden: invalid literal for int() with base 10: 'x'"),
+        (["train", "--epochs", "2.5"], "argument --epochs: invalid literal for int() with base 10: '2.5'"),
+        (["sweep", "--lr", "fast"], "argument --lr: could not convert string to float: 'fast'"),
+    ],
+)
+def test_a_flag_that_does_not_parse_is_a_usage_error_naming_it(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

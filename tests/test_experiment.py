@@ -224,6 +224,27 @@ def test_config_rejects_bad_values_before_any_data_loads(monkeypatch, key, bad):
         run(ExperimentConfig(**{"lam": 0.0, key: bad}))
 
 
+_REAL_KEYS = ["lr", "momentum", "noise_frac", "xi", "yager_p", "sigmoidal_s", "lipschitz_l", "eps_group"]
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("key", _REAL_KEYS)
+def test_config_rejects_a_bool_as_a_real_number_before_any_data_loads(monkeypatch, key, bad):
+    # a bool would compare as 0 or 1, so lr=True would train at lr 1
+    _no_data(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{key}={bad!r}: expected a real number, got bool$") as info:
+        run(ExperimentConfig(**{key: bad}))
+    assert isinstance(info.value.__cause__, TypeError)
+
+
+def test_config_takes_numpy_real_numbers():
+    values = {key: np.float64(getattr(ExperimentConfig(), key)) for key in _REAL_KEYS}
+    values["lam"] = np.float64(0.5)
+    cfg = ExperimentConfig(**values)
+    assert all(getattr(cfg, key) is value for key, value in values.items())
+    ExperimentConfig(lr=np.float32(0.1), lipschitz_l=np.int64(2), xi=3)
+
+
 def test_run_calls_the_crisp_evaluator_once_per_epoch_and_compiles_once(monkeypatch):
     """Neither per-sample evaluation nor per-batch compiling may creep back."""
     import dataclasses

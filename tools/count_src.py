@@ -1,5 +1,6 @@
 """Print the size of the library: total lines, and lines of code, that is
-non-blank lines outside comments and docstrings, of `src/logicloss/*.py`.
+non-blank lines outside comments and docstrings, of `src/logicloss/*.py`,
+one line per module and then the total.
 
     python tools/count_src.py [SRC_DIR]
 """
@@ -28,5 +29,8 @@ def count(text):
 
 if __name__ == "__main__":
     src = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent / "src" / "logicloss")
-    totals = [count(p.read_text()) for p in sorted(src.glob("*.py"))]
+    totals = []
+    for path in sorted(src.glob("*.py")):
+        totals.append(count(path.read_text()))
+        print(f"{path.name}: {totals[-1][0]} lines, {totals[-1][1]} lines of code")
     print(f"{sum(t[0] for t in totals)} lines, {sum(t[1] for t in totals)} lines of code")
