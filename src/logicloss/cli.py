@@ -45,14 +45,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _floats(text):
+    # an ArgumentTypeError reaches the user prefixed by the flag's name
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _vector(text):
-    # an ArgumentTypeError reaches the user prefixed by the flag's name
     values = _floats(text)
     if not all(math.isfinite(v) for v in values):
         raise argparse.ArgumentTypeError(f"every entry must be finite, got {text!r}")

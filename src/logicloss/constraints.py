@@ -98,12 +98,16 @@ def csim_formula(triples, n_classes: int):
     return conjoin(conjuncts)
 
 
+# the group constraint's default slack, also `ExperimentConfig.eps_group`'s
+GROUP_EPS = 0.05
+
+
 def check_group_eps(eps):
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps!r}")
 
 
-def group_formula(groups, eps: float = 0.05):
+def group_formula(groups, eps: float = GROUP_EPS):
     """Each group's probability mass must be <= eps or >= 1 - eps."""
     if not groups:
         raise ValueError("no class groups given")

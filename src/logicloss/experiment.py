@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from logicloss.constraints import (
+    GROUP_EPS,
     builtin_tables,
     check_group_eps,
     csim_formula,
@@ -74,7 +75,7 @@ class ExperimentConfig:
     seed: int = 0
     lr: float = 0.05
     momentum: float = 0.9
-    eps_group: float = 0.05
+    eps_group: float = GROUP_EPS
     xi: float = XI
     yager_p: float = YAGER_P
     sigmoidal_s: float = SIGMOIDAL_S
@@ -164,9 +165,17 @@ def _is_real(value):
 
 
 def _check_lambda(lam):
-    """A lambda is a finite real number >= 0."""
-    if not _is_real(lam) or not 0.0 <= lam < math.inf:
-        raise ValueError(f"lam={lam!r}: lambda must be non-negative")
+    """A lambda is a finite real number >= 0; the error names the first of
+    these that `lam` is not."""
+    if not _is_real(lam):
+        fault = "a real number"
+    elif not math.isfinite(lam):
+        fault = "finite"
+    elif lam < 0.0:
+        fault = "non-negative"
+    else:
+        return
+    raise ValueError(f"lam={lam!r}: lambda must be {fault}")
 
 
 def parse_setting(key, text):

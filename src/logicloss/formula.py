@@ -869,8 +869,11 @@ def eval_crisp(f: Formula, env: Env):
     return bool(np.asarray(crisp_fn(f)(one)).item())
 
 
+@functools.lru_cache(maxsize=256)
 def uses_paired_samples(f: Formula) -> bool:
-    """Whether the formula reads the primed (second-sample) vectors."""
+    """Whether the formula reads the primed (second-sample) vectors.  The
+    answers for the last formulas asked are kept, as a formula is asked
+    each time it is compiled or scored."""
 
     def in_expr(e) -> bool:
         if isinstance(e, Norm2Diff):
@@ -881,10 +884,13 @@ def uses_paired_samples(f: Formula) -> bool:
             return any(in_expr(x) for x in e.items)
         return False
 
-    if isinstance(f, Cmp):
-        return in_expr(f.left) or in_expr(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return uses_paired_samples(f.left) or uses_paired_samples(f.right)
-    if isinstance(f, Not):
-        return uses_paired_samples(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    def walk(g) -> bool:
+        if isinstance(g, Cmp):
+            return in_expr(g.left) or in_expr(g.right)
+        if isinstance(g, (And, Or, Implies)):
+            return walk(g.left) or walk(g.right)
+        if isinstance(g, Not):
+            return walk(g.body)
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f)

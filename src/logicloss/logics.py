@@ -157,14 +157,15 @@ def agg_yager(x, p: float = YAGER_P):
     # the fold, one conjunct at a time, with vpow's values and base-0
     # partials (`pow_parts`), so each step is the fold's bit for bit; a
     # step at 0 pins the fold at 0 from there on (1 - 0 to the p is 1, so
-    # w >= 1)
-    cols = np.moveaxis(x, -1, 0)
-    acc = cols[0]
-    to_acc, to_x = [], []  # partials of each step by the fold so far, by its conjunct
-    for xk in cols[1:]:
+    # w >= 1).  Only the fold so far is sequential: the conjuncts' powers
+    # are all taken before the fold, and each step's partial by its
+    # conjunct is multiplied out after it.
+    ux, dx = pow_parts(1.0 - x[..., 1:], p)
+    acc = x[..., 0]
+    to_acc, to_w = [], []  # partials of each step by the fold so far, by its power
+    for k in range(ux.shape[-1]):
         ua, da = pow_parts(1.0 - acc, p)
-        ux, dx = pow_parts(1.0 - xk, p)
-        base = ua + ux
+        base = ua + ux[..., k]
         if p > 1.0:
             report_margin(base)  # the root's slope is unbounded as base -> 0
         w, dw = pow_parts(base, 1.0 / p)
@@ -173,14 +174,14 @@ def agg_yager(x, p: float = YAGER_P):
         live = s > 0.0
         dw = np.where(live, dw, 0.0)
         to_acc.append(dw * da)
-        to_x.append(dw * dx)
+        to_w.append(dw)
         acc = np.where(live, s, 0.0)
     ones = np.ones(x.shape[:-1] + (1,))
     if not to_acc:
         return acc, ones
     # the partial by conjunct k chains through every later step
     later = np.multiply.accumulate(np.stack(to_acc, axis=-1)[..., ::-1], axis=-1)[..., ::-1]
-    own = np.stack(to_x, axis=-1)
+    own = np.stack(to_w, axis=-1) * dx
     return acc, np.concatenate([later, ones], axis=-1) * np.concatenate([ones, own], axis=-1)
 
 
@@ -400,7 +401,10 @@ class LogicBackend:
 
     A backend with an implication scores a fuzzy truth in [0,1], 1 iff
     (crisply) satisfied; one without (dl2) scores a violation, 0 iff
-    satisfied.
+    satisfied.  A backend compiles each formula once: `loss_function`
+    keeps the loss of each formula it has compiled under the backend, in
+    an attribute that is not a field, so a backend made by
+    `dataclasses.replace` starts without any, and they go with the backend.
     """
 
     name: str
@@ -408,6 +412,9 @@ class LogicBackend:
     disj: Callable
     impl: Optional[Callable]  # None: the compiler rewrites "->" and "not" away (dl2)
     compare: Callable  # (op, x, y) -> truth or violation
+
+    def __post_init__(self):
+        object.__setattr__(self, "_losses", {})  # formula -> its loss, by value
 
 
 def closed01(fn: Callable) -> Callable:
@@ -601,9 +608,14 @@ def loss_function(f, backend: LogicBackend) -> Callable[[Env], object]:
     """Compile a formula to a training loss: 0 iff satisfied, larger is worse.
 
     Fuzzy truth t becomes the loss 1 - t; a violation measure is already a
-    loss and passes through.  Values come as from `truth_function`.
+    loss and passes through.  Values come as from `truth_function`.  The
+    backend compiles each formula once: a formula equal to one compiled
+    under it before returns that loss.
     """
-    truth = truth_function(f, backend)
-    if backend.impl is None:
-        return truth
-    return lambda env: 1.0 - truth(env)
+    losses = backend._losses
+    loss = losses.get(f)
+    if loss is None:
+        truth = truth_function(f, backend)
+        loss = truth if backend.impl is None else lambda env: 1.0 - truth(env)
+        losses[f] = loss
+    return loss

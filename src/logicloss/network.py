@@ -238,9 +238,10 @@ def loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
     """Mean losses and parameter gradients of ce + lam*logic on a batch, as
     `Gradients`.
 
-    `constraint` is a formula, compiled under `backend` on this call, or a
-    `CompiledConstraint`, which a training run builds once and reuses for
-    every batch (`backend` is then not read).  The gradients are views of
+    `constraint` is a formula, whose loss `backend` compiles on the first
+    call with an equal formula and then keeps, or a `CompiledConstraint`,
+    which a training run builds once and reuses for every batch (`backend`
+    is then not read).  The gradients are views of
     one new vector laid out as `m.params`, `Gradients.vector`.
     """
     if not 0.0 <= lam < math.inf:

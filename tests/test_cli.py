@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from logicloss import logics
+from logicloss import constraints, logics
 from logicloss.cli import _build_parser, _merged_config, main
 from logicloss.experiment import ExperimentConfig, load_config
 from logicloss.logics import BACKEND_NAMES
@@ -403,6 +404,23 @@ def test_eval_and_the_config_read_the_operator_defaults_from_logics():
     assert {key: getattr(args, key) for key in defaults} == defaults
     cfg = ExperimentConfig()
     assert (cfg.xi, cfg.yager_p, cfg.sigmoidal_s) == (logics.XI, logics.YAGER_P, logics.SIGMOIDAL_S)
+
+
+def test_the_config_and_group_formula_read_the_group_slack_from_constraints():
+    assert ExperimentConfig().eps_group == constraints.GROUP_EPS
+    assert inspect.signature(constraints.group_formula).parameters["eps"].default == constraints.GROUP_EPS
+
+
+@pytest.mark.parametrize(
+    "argv,flag,text",
+    [
+        (["sweep", "--sweep", "0,x"], "--sweep", "0,x"),
+        (["eval", "--logic", "rc", "--formula", "out[0] <= 0.5", "--out", "a,b"], "--out", "a,b"),
+    ],
+)
+def test_a_bad_number_in_a_list_flag_is_a_usage_error_naming_the_flag(capsys, argv, flag, text):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: expected comma-separated numbers, got {text!r}\n"
 
 
 @pytest.mark.parametrize(

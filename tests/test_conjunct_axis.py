@@ -316,6 +316,23 @@ def test_each_aggregation_matches_the_fold_of_its_conj(label, backend):
         np.testing.assert_allclose(red_d, fold_d, rtol=REL_TOL, atol=1e-15)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+def test_yager_equals_its_fold_with_zeros_and_ones(p):
+    """Yager takes every conjunct's power before its fold; with zeros and
+    ones among the conjuncts (base-0 powers, steps at exactly 0, a fold
+    pinned at 0) the value is still the fold's bit for bit."""
+    backend = make_backend("yg", yager_p=p)
+    rng = np.random.default_rng(int(10 * p))
+    for k in range(1, 18):
+        ends = rng.choice([0.0, 1.0], size=(6, k))
+        mixed = np.where(rng.random((8, k)) < 0.3, rng.choice([0.0, 0.999, 1.0], size=(8, k)), rng.random((8, k)))
+        rows = np.concatenate([np.ones((1, k)), np.zeros((1, k)), ends, mixed])
+        fold_v, fold_d, red_v, red_d = _fold_and_reduce(backend, rows)
+        # a fold pinned at 0 on every row is the bare 0.0
+        assert np.array_equal(np.broadcast_to(fold_v, red_v.shape), red_v), k
+        np.testing.assert_allclose(red_d, fold_d, rtol=REL_TOL, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "rule",
     [agg_product, agg_godel, agg_lukasiewicz, agg_sum, agg_yager, *(lambda x, p=p: agg_yager(x, p) for p in (1.0, 3.0))],

@@ -811,11 +811,19 @@ class _RecordingPool(ProcessPoolExecutor):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
-    "bad",
-    [-1.0, "1", True, np.True_, float("nan"), float("inf"), None],
+    "bad,fault",
+    [
+        (-1.0, "non-negative"),
+        ("1", "a real number"),
+        (True, "a real number"),
+        (np.True_, "a real number"),
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (None, "a real number"),
+    ],
     ids=["negative", "str", "bool", "numpy-bool", "nan", "inf", "none"],
 )
-def test_lambda_sweep_rejects_a_bad_grid_entry_before_anything_runs(bad, jobs, monkeypatch):
+def test_lambda_sweep_rejects_a_bad_grid_entry_before_anything_runs(bad, fault, jobs, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the sweep started work on a bad grid")
 
@@ -824,7 +832,7 @@ def test_lambda_sweep_rejects_a_bad_grid_entry_before_anything_runs(bad, jobs, m
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", never)
     with pytest.raises(ValueError) as e:
         lambda_sweep(TINY, grid=[0.0, bad], jobs=jobs)
-    assert str(e.value) == f"lam={bad!r}: lambda must be non-negative"
+    assert str(e.value) == f"lam={bad!r}: lambda must be {fault}"
 
 
 def test_lambda_sweep_starts_no_more_workers_than_points(monkeypatch):
