@@ -1,7 +1,7 @@
 """Run perfbench in alternating pairs of two source trees and compare them.
 
     python tools/bench_pairs.py PARENT_SRC CHANGE_SRC --workload W --pairs N \\
-        --seconds S --out BENCH.json [--seed K] [--checkout DIR]
+        --seconds S --out BENCH.json [--checkout DIR]
 
 PARENT_SRC and CHANGE_SRC are two `src` directories (each holding
 `logicloss/`).  Both sides run `perfbench/run.py --trace 0` of this
@@ -9,15 +9,14 @@ repository from one checkout path, DIR (a fresh temporary directory by
 default): DIR holds a copy of `perfbench/` and `BENCHMARK.json`, and its
 `src` is a symlink switched from one tree to the other before each run, so
 the two sides differ in nothing but the tree the link names.  Pair i runs
-both sides on seed K + i, the parent first in even pairs and the change
+both sides on seed 7 + i, the parent first in even pairs and the change
 first in odd ones.  No bytecode is written, so neither tree is changed.
 
 For every end-to-end metric, and for the raw (unscaled) wall rate and the
 reference pass that perfbench prints, the summary gives each side's median
 and quartiles and the number of pairs the change won.  Each run is added
-to the JSON file --out as it ends, and the summary of every run of the
-workload in it when all have; the pairs of a later call go on from the
-last pair number of that workload in the file.
+to the JSON file --out as it ends, in place of any runs of the workload
+that the file held before, and the summary of the runs when all have.
 """
 
 import argparse
@@ -33,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEED = 7  # pair i runs on seed SEED + i
 
 # perfbench's stderr line: "... N samples per wall second, reference pass M ms"
 _WALL = re.compile(r"([0-9.eE+-]+) samples per wall second, reference pass ([0-9.eE+-]+) ms")
@@ -133,11 +133,10 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", required=True, help="JSON file the runs and summary are added to")
-    parser.add_argument("--seed", type=int, default=7, help="pair i runs on seed SEED + i")
     parser.add_argument("--checkout", help="directory to run from (default: a new temporary one)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
-        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds > 0")
     trees = dict(zip(SIDES, (_tree(args.parent_src), _tree(args.change_src))))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]} | _RAW
@@ -145,17 +144,16 @@ def main(argv=None):
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("what", "tools/bench_pairs.py: perfbench/run.py --trace 0 in alternating parent/change "
                               "pairs from one checkout path, src a symlink switched between the two trees")
-    record.setdefault("runs", [])
-    # pairs of an earlier call on this workload keep their numbers
-    first = 1 + max((r["pair"] for r in record["runs"] if r["workload"] == args.workload), default=-1)
+    record["runs"] = [r for r in record.get("runs", []) if r["workload"] != args.workload]
+    record.get("summary", {}).pop(args.workload, None)
 
     checkout = _checkout(args.checkout)
     try:
-        for i in range(first, first + args.pairs):
+        for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 _link(checkout, trees[side])
-                run = {"pair": i, "workload": args.workload, "side": side, "seed": args.seed + i,
-                       **run_once(checkout, args.workload, args.seed + i, args.seconds)}
+                run = {"pair": i, "workload": args.workload, "side": side, "seed": SEED + i,
+                       **run_once(checkout, args.workload, SEED + i, args.seconds)}
                 record["runs"].append(run)
                 print(f"pair {i} {side}: samples_per_s {run['metrics'].get('samples_per_s', 0):.6g}, "
                       f"setup_s {run['metrics'].get('setup_s', 0):.4g}, failed {run['failed']}", file=sys.stderr)
