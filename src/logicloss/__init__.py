@@ -6,8 +6,6 @@ from logicloss.constraints import (
     csim_formula,
     group_formula,
     lipschitz_formula,
-    load_groups,
-    load_triples,
     make_parse_context,
     synthetic_tables,
 )
@@ -62,9 +60,7 @@ __all__ = [
     "lambda_sweep",
     "lipschitz_formula",
     "load_config",
-    "load_groups",
     "load_idx",
-    "load_triples",
     "loss_function",
     "make_backend",
     "make_parse_context",

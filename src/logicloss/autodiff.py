@@ -416,6 +416,9 @@ def vsigmoid(a):
     return _sigmoid(a)
 
 
+_MIN_NORMAL = np.finfo(float).tiny  # the smallest positive normal double
+
+
 def pow_parts(av, bv):
     """Value and base partial of av ** bv, with vpow's base-0 conventions
     and without its domain checks."""
@@ -443,7 +446,15 @@ def vpow(a, b):
         raise DomainError("pow of zero base with negative exponent")
     # the derivative in the base blows up as base -> 0 whenever exp < 1
     report_margin(lambda: np.where(bv < 1.0, av, np.inf))
-    v, da = pow_parts(av, bv)
+    if ((av > 0.0) & (av < _MIN_NORMAL)).any():
+        # base ** (bv - 1) can overflow at a subnormal base where the
+        # partial does not; on those rows it is bv * v / base
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, da = pow_parts(av, bv)
+        lost = ~np.isfinite(da) & np.isfinite(v)
+        da = np.where(lost, bv * np.where(lost, v, 0.0) / np.where(lost, av, 1.0), da)
+    else:
+        v, da = pow_parts(av, bv)
     return record(v, (a, da), (b, lambda: np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av)))))
 
 

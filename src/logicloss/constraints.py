@@ -348,59 +348,3 @@ def make_parse_context(tables: ConstraintTables, consts=None) -> ParseContext:
         index_groups=index_groups,
         consts=dict(consts or {}),
     )
-
-
-# ---------------------------------------------------------------------------
-# Plain-text table files
-
-
-def load_triples(path, n_classes: int):
-    """Read label triples, one per line: three whitespace-separated indices.
-
-    Blank lines and '#' comments are skipped.
-    """
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected three indices, got {raw!r}")
-            try:
-                l1, l2, l3 = (int(p) for p in parts)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: indices must be integers") from None
-            t = LabelTriple(l1, l2, l3)
-            if max(l1, l2, l3) >= n_classes:
-                raise ValueError(f"{path}:{lineno}: index out of range for {n_classes} classes")
-            triples.append(t)
-    if not triples:
-        raise ValueError(f"{path}: no triples found")
-    return tuple(triples)
-
-
-def load_groups(path, n_classes: int):
-    """Read class groups, one per line: 'name: i j k ...'."""
-    groups = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, sep, rest = line.partition(":")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'name: indices', got {raw!r}")
-            try:
-                members = tuple(int(p) for p in rest.split())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: indices must be integers") from None
-            g = ClassGroup(name.strip(), members)
-            if max(members) >= n_classes:
-                raise ValueError(f"{path}:{lineno}: index out of range for {n_classes} classes")
-            groups.append(g)
-    if not groups:
-        raise ValueError(f"{path}: no groups found")
-    _check_disjoint(groups)
-    return tuple(groups)

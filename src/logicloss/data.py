@@ -46,7 +46,6 @@ class Dataset:
     features: np.ndarray  # (n, dims) float
     labels: np.ndarray  # (n,) int
     n_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -64,7 +63,7 @@ class Dataset:
         return len(self.labels)
 
 
-def _pair_split(rng, n, n_classes, dims, split):
+def _pair_split(rng, n, n_classes, dims):
     n_sites = (n_classes + 1) // 2
     angles = 2.0 * np.pi * np.arange(n_sites) / n_sites
     labels = np.arange(n) % n_classes
@@ -79,7 +78,7 @@ def _pair_split(rng, n, n_classes, dims, split):
     features[np.arange(n), 2 + site] = (
         0.5 * PAIR_GAP * side + FEATURE_SIGMA * noise[:, 2]
     )
-    return Dataset(features, labels, n_classes, split=split)
+    return Dataset(features, labels, n_classes)
 
 
 def check_noise_frac(noise_frac):
@@ -113,8 +112,8 @@ def gen_synthetic(seed, n_train, n_test, n_classes, dims, noise_frac):
         raise ValueError(f"invalid sizes: need n_train and n_test >= 1, got {n_train} and {n_test}")
 
     feature_rng = np.random.default_rng([seed, 0])
-    train = _pair_split(feature_rng, n_train, n_classes, dims, "train")
-    test = _pair_split(feature_rng, n_test, n_classes, dims, "test")
+    train = _pair_split(feature_rng, n_train, n_classes, dims)
+    test = _pair_split(feature_rng, n_test, n_classes, dims)
 
     n_noisy = int(noise_frac * n_train)
     if n_noisy:
@@ -150,7 +149,7 @@ def _read_idx(path, want_ndim):
     return dims, np.frombuffer(body, dtype=np.uint8)
 
 
-def load_idx(images_path, labels_path, split="train"):
+def load_idx(images_path, labels_path):
     """Load an IDX image/label pair; pixels scaled to [0, 1], rows flat."""
     img_dims, img_bytes = _read_idx(images_path, want_ndim=3)
     lbl_dims, lbl_bytes = _read_idx(labels_path, want_ndim=1)
@@ -161,5 +160,5 @@ def load_idx(images_path, labels_path, split="train"):
     n, rows, cols = img_dims
     features = img_bytes.reshape(n, rows * cols).astype(float) / 255.0
     labels = lbl_bytes.astype(int)
-    return Dataset(features, labels, int(labels.max()) + 1 if n else 0, split=split)
+    return Dataset(features, labels, int(labels.max()) + 1 if n else 0)
 

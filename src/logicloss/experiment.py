@@ -41,7 +41,7 @@ from logicloss.formula import (
     sample_rows,
     uses_paired_samples,
 )
-from logicloss.logics import SIGMOIDAL_S, XI, YAGER_P, agg_product, closed01, make_backend, s_prob_sum
+from logicloss.logics import SIGMOIDAL_S, XI, YAGER_P, agg_product, make_backend, s_prob_sum
 from logicloss.network import (
     Model,
     Optimizer,
@@ -297,7 +297,7 @@ def _training_backend(cfg):
     if cfg.constraint == "csim":
         return dataclasses.replace(backend, conj=agg_product)
     if cfg.constraint == "group":
-        return dataclasses.replace(backend, disj=closed01(s_prob_sum))
+        return dataclasses.replace(backend, disj=s_prob_sum)
     return backend
 
 
@@ -325,8 +325,8 @@ def _split_idx_dataset(spec):
     tr = np.sort(np.concatenate(train_idx))
     te = np.sort(np.concatenate(test_idx))
     return (
-        Dataset(full.features[tr], full.labels[tr], full.n_classes, split="train"),
-        Dataset(full.features[te], full.labels[te], full.n_classes, split="test"),
+        Dataset(full.features[tr], full.labels[tr], full.n_classes),
+        Dataset(full.features[te], full.labels[te], full.n_classes),
     )
 
 

@@ -45,10 +45,18 @@ Branch conventions worth knowing:
     measure-zero set.
   - Godel and Goguen implications branch on x <= y (not x < y) so that
     I(0,0) = 1 and Goguen never divides by zero for arguments in [0,1].
-  - A fuzzy backend's comparisons, disjunction and implication clamp their
-    rounding spill back into [0,1] with a pass-through (unit-derivative)
-    node; the raw operator functions do not.  Its conjunction and `not`
-    map values in [0,1] into [0,1] and need no clamp.
+  - Every fuzzy connective maps values in [0,1] into [0,1] in IEEE double
+    arithmetic, and every fuzzy comparison maps finite values there, with
+    no clamp: rounding is monotone and eps > 0.
+      - `fuzzy_le`: fl(x-y) <= fl(|x|+|y|) <= den, so q <= 1.
+      - probabilistic sum: a = fl(x+y) and b = fl(x*y) round by less
+        than 2^-52 together, so a - b <= 1 + 2^-53, which rounds to 1.
+      - Reichenbach: fl(x*y) <= x, and fl(1-x) rounds up by at most 2^-54.
+      - rc-phi: the square root of a Reichenbach value.
+      - every other connective is a min, max, select or pow of values in
+        [0,1].
+    Only the sigmoidal reshaping (rc-s) spills, and `sigmoidal_truth`
+    clamps that itself.
 """
 
 from __future__ import annotations
@@ -259,8 +267,9 @@ def i_reichenbach(x, y):
 def _clip01(x):
     """Clamp the value into [0,1]; derivative passes through unchanged.
 
-    Used to absorb last-ulp float spill (and the sigmoid's residue at its
-    endpoints) without flattening the gradient the way a min/max clamp would.
+    `sigmoidal_truth` absorbs the renormalized sigmoid's last-ulp spill at
+    its endpoints with it, without flattening the gradient the way a
+    min/max clamp would.
     """
     v = np.asarray(val(x))
     if v.min() >= 0.0 and v.max() <= 1.0:
@@ -417,15 +426,6 @@ class LogicBackend:
         object.__setattr__(self, "_losses", {})  # formula -> its loss, by value
 
 
-def closed01(fn: Callable) -> Callable:
-    """Wrap a fuzzy operator so its output is clamped back into [0,1]."""
-
-    def wrapped(*args):
-        return _clip01(fn(*args))
-
-    return wrapped
-
-
 # name -> (t-norm's aggregation operator, s-norm, implication); make_backend
 # binds the Yager operators' p and reshapes the rc-s and rc-phi implications
 _FUZZY_TABLE = {
@@ -485,7 +485,7 @@ def make_backend(
     def compare(op, x, y):
         return fuzzy_compare(op, x, y, conj, eps)
 
-    return LogicBackend(name=name, conj=conj, disj=closed01(snorm), impl=closed01(impl), compare=closed01(compare))
+    return LogicBackend(name=name, conj=conj, disj=snorm, impl=impl, compare=compare)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,20 @@ def test_pow_conventions():
     assert g[b] == 0.0
 
 
+def test_pow_base_partial_at_a_subnormal_base_does_not_overflow():
+    # base ** (exp - 1) overflows there, but exp * base ** (exp - 1) need not
+    tiny = np.nextafter(0.0, 1.0)
+    b = var(np.array([tiny, tiny, tiny, 0.25]))
+    e = np.array([tiny, 0.0, 0.5, 0.5])
+    g = grad(vpow(b, e), [b])[b]
+    np.testing.assert_allclose(g, [1.0, 0.0, 0.5 * tiny**-0.5, 1.0], rtol=1e-15)
+    # a partial that overflows itself still warns, and is inf
+    b = var(tiny)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        p = vpow(b, 0.01)
+    assert grad(p, [b])[b] == np.inf
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         vln(var(-1.0))

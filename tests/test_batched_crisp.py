@@ -82,7 +82,7 @@ def _batched_hits(f, probs, X):
 
 def _accuracy_on(f, probs, X):
     """`constraint_accuracy` with the model's outputs replaced by `probs`."""
-    d = Dataset(X, np.zeros(len(X), dtype=int), N_CLASSES, split="test")
+    d = Dataset(X, np.zeros(len(X), dtype=int), N_CLASSES)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "forward_batch", lambda m, features: probs)
         return constraint_accuracy(None, d, f)

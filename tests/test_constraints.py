@@ -13,8 +13,6 @@ from logicloss.constraints import (
     csim_formula,
     group_formula,
     lipschitz_formula,
-    load_groups,
-    load_triples,
     make_parse_context,
     synthetic_tables,
 )
@@ -292,49 +290,3 @@ def test_parse_context_exposes_group_names():
     outputs = [0.0] * 43
     outputs[3] = 0.03
     assert eval_crisp(f, Env(outputs=outputs)) is True
-
-
-# ---------------------------------------------------------------------------
-# Text loaders
-
-
-def test_load_triples(tmp_path):
-    p = tmp_path / "triples.txt"
-    p.write_text("# comment\n0 6 9\n\n1 3 8  # trailing\n")
-    assert load_triples(p, 10) == (LabelTriple(0, 6, 9), LabelTriple(1, 3, 8))
-
-
-def test_load_triples_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0 1\n")
-    with pytest.raises(ValueError, match="three indices"):
-        load_triples(p, 10)
-    p.write_text("0 1 x\n")
-    with pytest.raises(ValueError, match="integers"):
-        load_triples(p, 10)
-    p.write_text("0 1 99\n")
-    with pytest.raises(ValueError, match="out of range"):
-        load_triples(p, 10)
-    p.write_text("# nothing\n")
-    with pytest.raises(ValueError, match="no triples"):
-        load_triples(p, 10)
-
-
-def test_load_groups(tmp_path):
-    p = tmp_path / "groups.txt"
-    p.write_text("first: 0 1 2\nsecond: 3 4\n")
-    groups = load_groups(p, 10)
-    assert groups == (ClassGroup("first", (0, 1, 2)), ClassGroup("second", (3, 4)))
-
-
-def test_load_groups_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("no colon here\n")
-    with pytest.raises(ValueError, match="name"):
-        load_groups(p, 10)
-    p.write_text("a: 0 1\nb: 1 2\n")
-    with pytest.raises(ValueError, match="appears in both"):
-        load_groups(p, 10)
-    p.write_text("a: 0 99\n")
-    with pytest.raises(ValueError, match="out of range"):
-        load_groups(p, 10)

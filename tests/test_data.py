@@ -33,7 +33,6 @@ def test_gen_balanced_classes():
     for d in (train, test):
         counts = np.bincount(d.labels, minlength=10)
         assert counts.max() - counts.min() <= 1
-    assert train.split == "train" and test.split == "test"
 
 
 def test_sites_sit_on_the_circle():
@@ -101,13 +100,12 @@ def test_idx_round_trip(tmp_path):
     pixels = list(range(256)) * 30 + [0] * (10 * 28 * 28 - 256 * 30)
     _write_idx(img, (10, 28, 28), pixels)
     _write_idx(lbl, (10,), [3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
-    d = load_idx(img, lbl, split="test")
+    d = load_idx(img, lbl)
     assert d.features.shape == (10, 784)
     assert d.features.min() == 0.0 and d.features.max() == 1.0
     assert d.features[0, 255] == pytest.approx(255 / 255.0)
     assert list(d.labels) == [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
     assert d.n_classes == 10
-    assert d.split == "test"
 
 
 def test_idx_bad_magic(tmp_path):

@@ -101,19 +101,21 @@ def _value(run, name):
 def summarize(runs, better):
     """{metric: {side: [median, q1, q3], "change_won": wins, "pairs": n}}
     over `runs` of one workload; `better` maps a metric to its direction.
-    A pair whose two values are equal is won by neither side."""
+    Each metric is summarized over the pairs whose two sides both report
+    it; a pair whose two values are equal is won by neither side."""
     pairs = {}
     for r in runs:
         pairs.setdefault(r["pair"], {})[r["side"]] = r
     whole = [p for p in pairs.values() if set(p) == set(SIDES)]
     out = {}
     for name, direction in better.items():
-        per_side = {s: [_value(p[s], name) for p in whole if _value(p[s], name) is not None] for s in SIDES}
-        if not all(per_side.values()):
+        both = [p for p in whole if all(_value(p[s], name) is not None for s in SIDES)]
+        if not both:
             continue
         sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(1 for p in whole if sign * (_value(p["change"], name) - _value(p["parent"], name)) > 0.0)
-        out[name] = {**{s: list(_quartiles(per_side[s])) for s in SIDES}, "change_won": wins, "pairs": len(whole)}
+        wins = sum(1 for p in both if sign * (_value(p["change"], name) - _value(p["parent"], name)) > 0.0)
+        out[name] = {**{s: list(_quartiles([_value(p[s], name) for p in both])) for s in SIDES},
+                     "change_won": wins, "pairs": len(both)}
     return out
 
 
