@@ -43,7 +43,6 @@ analytic backprop elsewhere:
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -51,41 +50,6 @@ import numpy as np
 
 class DomainError(ArithmeticError):
     """An operation left its numeric domain (ln(x<=0), x/0, 0**negative, sqrt(x<0))."""
-
-
-# Optional branch-distance recording.  When a list is installed via
-# track_branch_margins(), every value-level branch decision (max/min/abs,
-# piecewise ops in the logic layer, the kinks of a t-norm's aggregation)
-# appends the distance of each row to the branch boundary, an array over
-# the batch (a scalar when the decision is the same on every row); a row
-# that does not take the guarded branch records inf.  Gradient-check tests
-# use this to reject sample points that sit too close to a kink for finite
-# differences to be trustworthy.
-_margins: list | None = None
-
-
-@contextmanager
-def track_branch_margins():
-    global _margins
-    saved = _margins
-    _margins = []
-    try:
-        yield _margins
-    finally:
-        _margins = saved
-
-
-def report_margin(a, b=0.0, slots=False) -> None:
-    """Record |a - b| when tracking is on; `a` may be a function of no
-    arguments, for a distance that costs work to compute.  With `slots`,
-    the last axis holds one margin per slot of a reduction, and each slot
-    is recorded on its own."""
-    if _margins is not None:
-        d = np.abs(np.subtract(a() if callable(a) else a, b))
-        if slots:
-            _margins.extend(np.moveaxis(d, -1, 0))
-        else:
-            _margins.append(d)
 
 
 def _check_divisor(v) -> None:
@@ -379,14 +343,12 @@ def aggregate(pieces, rule):
 def vmax(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    report_margin(av, bv)
     return select(np.greater_equal(av, bv), a, b)
 
 
 def vmin(a, b):
     av = a.value if isinstance(a, Node) else a
     bv = b.value if isinstance(b, Node) else b
-    report_margin(av, bv)
     return select(np.less_equal(av, bv), a, b)
 
 
@@ -394,8 +356,6 @@ def vsqrt(a):
     v = a.value if isinstance(a, Node) else a
     if np.less(v, 0.0).any():
         raise DomainError(f"sqrt of negative value {float(np.min(v))!r}")
-    # unbounded derivative as v -> 0
-    report_margin(v)
     s = np.sqrt(v)
     if isinstance(a, Node):
         # 0.5 / inf is the zero partial at v == 0
@@ -444,8 +404,6 @@ def vpow(a, b):
     zero = av == 0.0
     if (zero & (bv < 0.0)).any():
         raise DomainError("pow of zero base with negative exponent")
-    # the derivative in the base blows up as base -> 0 whenever exp < 1
-    report_margin(lambda: np.where(bv < 1.0, av, np.inf))
     if ((av > 0.0) & (av < _MIN_NORMAL)).any():
         # base ** (bv - 1) can overflow at a subnormal base where the
         # partial does not; on those rows it is bv * v / base

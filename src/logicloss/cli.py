@@ -141,7 +141,7 @@ def _build_parser():
         choices=("synthetic", "fmnist", "cifar10", "gtsrb"),
         default="fmnist",
     )
-    tb.add_argument("--n-classes", type=int, default=10)
+    tb.add_argument("--n-classes", type=int, help="class count of the synthetic tables (default 10)")
     return parser
 
 
@@ -212,7 +212,9 @@ def _sweep_command(args):
 
 def _tables_command(args):
     if args.dataset == "synthetic":
-        tables = synthetic_tables(args.n_classes)
+        tables = synthetic_tables(10 if args.n_classes is None else args.n_classes)
+    elif args.n_classes is not None:
+        raise UsageError(f"--n-classes sizes only the synthetic tables; the {args.dataset} tables are fixed")
     else:
         tables = builtin_tables(args.dataset)
     print(f"dataset: {tables.dataset} ({tables.n_classes} classes)")

@@ -127,8 +127,13 @@ class ExperimentConfig:
 
 
 def _check_dataset(name):
-    if not (name == "synthetic" or isinstance(name, str) and name.startswith("idx:")):
+    if name == "synthetic":
+        return
+    if not (isinstance(name, str) and name.startswith("idx:")):
         raise ValueError(f"unknown dataset {name!r}; valid: synthetic, idx:<img>,<lbl>")
+    paths = name[len("idx:") :].split(",")
+    if len(paths) != 2 or not all(p.strip() for p in paths):
+        raise ValueError("an idx dataset names two files, idx:<images>,<labels>")
 
 
 def _check_constraint(name):
@@ -302,10 +307,8 @@ def _training_backend(cfg):
 
 
 def _split_idx_dataset(spec):
-    paths = spec.split(":", 1)[1].split(",")
-    if len(paths) != 2:
-        raise ValueError("idx dataset spec must be idx:<images>,<labels>")
-    full = load_idx(paths[0].strip(), paths[1].strip())
+    images, labels = spec.split(":", 1)[1].split(",")
+    full = load_idx(images.strip(), labels.strip())
     # stratified 80/20 split, disjoint by construction: each class's first
     # 80% of images train and the rest test; nothing is shuffled, so the
     # split is deterministic by file order

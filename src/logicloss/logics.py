@@ -28,16 +28,14 @@ gets the numbers it would get compiled alone, and the tape holds one copy
 of the template and one reduction, however many conjuncts there are.  The
 reduction runs in the fold's order, so it equals the left fold by the
 pairwise t-norm bit for bit (Yager steps through the conjuncts one at a
-time, on bare arrays, off the tape), and records the fold's branch
-margins.  A fuzzy `==` reduces its two soft comparisons the same way,
-`!=` is 1 minus that, and `not` is 1 - x.
+time, on bare arrays, off the tape).  A fuzzy `==` reduces its two soft
+comparisons the same way, `!=` is 1 minus that, and `not` is 1 - x.
 
 The soft comparison (`fuzzy_le`), dl2's hinge max(x - y, 0)
 (`dl2_hinge`), Reichenbach's implication and the probabilistic sum are
 each one tape node whose partials are written out in closed form
 (`autodiff.record`); each computes its value by the numpy expression of
-the operator composed from tape primitives, so the two agree bit for bit,
-and records that composition's branch margins, in its order.
+the operator composed from tape primitives, so the two agree bit for bit.
 
 Branch conventions worth knowing:
   - Strict "<" under the fuzzy comparison collapses to "<=": the soft
@@ -76,7 +74,6 @@ from .autodiff import (
     gather,
     pow_parts,
     record,
-    report_margin,
     select,
     val,
     vmax,
@@ -132,7 +129,6 @@ def agg_product(x):
 
 def agg_godel(x):
     # the fold's min(a, b) keeps a on ties: the first argmin takes the gradient
-    report_margin(lambda: np.minimum.accumulate(x[..., :-1], axis=-1), x[..., 1:], slots=True)
     d = (np.arange(x.shape[-1]) == x.argmin(axis=-1)[..., None]).astype(float)
     return x.min(axis=-1), d
 
@@ -146,19 +142,9 @@ def agg_lukasiewicz(x):
     z[..., 0] = x[..., 0]
     z[..., 1::2] = x[..., 1:]
     steps = np.add.accumulate(z, axis=-1)
-    report_margin(lambda: _lukasiewicz_fold_steps(steps[..., 2::2], x[..., 1:]), slots=True)
     live = (steps[..., 2::2] > 0.0).all(axis=-1)
     d = np.broadcast_to(live[..., None], x.shape).astype(float)
     return np.where(live, steps[..., -1], 0.0), d
-
-
-def _lukasiewicz_fold_steps(sums, x):
-    """The fold's step before its max with 0, each conjunct after the
-    first: the running sum while every step so far is live, x_k - 1 once
-    the fold is pinned at 0."""
-    live = np.ones(sums.shape, dtype=bool)
-    live[..., 1:] = np.logical_and.accumulate(sums[..., :-1] > 0.0, axis=-1)
-    return np.where(live, sums, x - 1.0)
 
 
 def agg_yager(x, p: float = YAGER_P):
@@ -174,11 +160,8 @@ def agg_yager(x, p: float = YAGER_P):
     for k in range(ux.shape[-1]):
         ua, da = pow_parts(1.0 - acc, p)
         base = ua + ux[..., k]
-        if p > 1.0:
-            report_margin(base)  # the root's slope is unbounded as base -> 0
         w, dw = pow_parts(base, 1.0 / p)
         s = 1.0 - w
-        report_margin(s)
         live = s > 0.0
         dw = np.where(live, dw, 0.0)
         to_acc.append(dw * da)
@@ -226,7 +209,6 @@ def s_prob_sum(x, y):
 
 def i_godel(x, y):
     xv, yv = val(x), val(y)
-    report_margin(xv, yv)
     return select(np.less_equal(xv, yv), 1.0, y)
 
 
@@ -245,9 +227,7 @@ def i_yager(x, y):
 
 def i_goguen(x, y):
     xv, yv = val(x), val(y)
-    report_margin(xv, yv)
     divide = np.greater(xv, yv)
-    report_margin(lambda: np.where(divide, xv, np.inf))  # y/x steepens without bound as x -> 0
     if not divide.any():
         return 1.0
     # rows that return 1 divide by a stand-in 1, so their x may be 0
@@ -313,8 +293,7 @@ def power_scaled(impl: Callable) -> Callable:
 def _hinge(d):
     """max(d, 0), the tie at 0 going to d, and its partial by d: 1.0 when
     every row is at or above 0, and None, with the bare value 0.0, when no
-    row is.  Records the margin |d|, as `vmax(d, 0.0)` does."""
-    report_margin(d)
+    row is."""
     mask = np.greater_equal(d, 0.0)
     hits = np.count_nonzero(mask)
     if hits == mask.size:
@@ -334,13 +313,10 @@ def fuzzy_le(x, y, eps: float = EPS):
 
     One tape node.  With q = max(x-y, 0) / den and the hinge's partial h,
     the partials are q/den * sign(x) - h/den by x and h/den + q/den *
-    sign(y) by y, with d|x|/dx = 0 at 0.  Records the margins |x - y|,
-    |x| and |y|, in that order.
+    sign(y) by y, with d|x|/dx = 0 at 0.
     """
     xv, yv = val(x), val(y)
     h, dh = _hinge(xv - yv)
-    report_margin(xv)
-    report_margin(yv)
     den = np.abs(xv) + np.abs(yv) + eps
     _check_divisor(den)
     q = h / den
@@ -374,9 +350,7 @@ def dl2_hinge(x, y):
 
 
 def _dl2_eq_indicator(x, y):
-    xv, yv = val(x), val(y)
-    report_margin(xv, yv)
-    return np.equal(xv, yv).astype(float)
+    return np.equal(val(x), val(y)).astype(float)
 
 
 def dl2_atom(op: str, x, y, xi: float = XI):

@@ -29,15 +29,32 @@ them bit for bit.  `rowmajor_forward_batch` and `rowmajor_loss_gradients`
 are the same formulas with every batch held as (samples, entries) rows, as
 the dense path was first written, logic term included; they reduce in
 another order, so the library agrees with them to rounding.
+
+`margin_backend(b)` is the backend `b` whose conjunction, disjunction,
+implication and comparison each first record their branch margins,
+computed from their operands by that operator's `*_margins` function, and
+then run `b`'s own callable, so values, partials and tapes are `b`'s.  A
+margin is each row's distance from a kink (a tie of a max or min, a hinge
+or a Godel/Goguen implication at x == y, a fold's step at 0) or a
+singularity (a square root, or a power below 1, at base 0; Goguen's
+divisor at 0), where a central difference is no derivative, so the
+finite-difference tests redraw a point that passes too close to one.  It
+is an array over the batch (a scalar for scalar operands), inf on a row
+that does not take the guarded branch; a reduction records one margin
+per step.  Margins are kept only inside `track_branch_margins()`, which
+yields their list and, while it is open, also records the square root of
+every `norm2`, which the formula's arithmetic takes outside the backend.
 """
 
 import functools
 import operator
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
-from logicloss.autodiff import DomainError, Node, aggregate, grad, report_margin, val, var, vmax, vmin, vpow
+from logicloss import formula
+from logicloss.autodiff import DomainError, Node, aggregate, grad, pow_parts, val, var, vmax, vmin, vpow, vsqrt
 from logicloss.formula import (
     And,
     Cmp,
@@ -51,13 +68,31 @@ from logicloss.formula import (
     push_negations,
     sample_rows,
 )
-from logicloss.logics import _clip01, agg_godel, agg_lukasiewicz, agg_product, agg_sum, loss_function
+from logicloss.logics import (
+    LogicBackend,
+    _clip01,
+    agg_godel,
+    agg_lukasiewicz,
+    agg_product,
+    agg_sum,
+    agg_yager,
+    i_godel,
+    i_goguen,
+    i_kleene_dienes,
+    i_lukasiewicz,
+    i_reichenbach,
+    i_yager,
+    loss_function,
+    s_godel,
+    s_lukasiewicz,
+    s_prob_sum,
+    s_yager,
+)
 from logicloss.network import CompiledConstraint, TrainingDiverged, _logic_grads, compile_constraint
 
 
 def vabs(a):
     v = a.value if isinstance(a, Node) else a
-    report_margin(v)
     if not isinstance(a, Node):
         return np.abs(v)
     if np.greater(v, 0.0).all():
@@ -375,3 +410,216 @@ def rowmajor_loss_gradients(m, X, y, lam=0.0, backend=None, constraint=None):
         if k > 0:
             delta = (delta @ m.weights[k]) * (zs[k - 1] >= 0.0)
     return ce, logic, grads_w, grads_b
+
+
+# ---------------------------------------------------------------------------
+# Branch margins.  Each `*_margins` function returns the signed distances
+# of its operator's branch decisions, in the order the operator takes
+# them; the recorder keeps their absolute values.
+
+_margins: list | None = None
+
+
+@contextmanager
+def track_branch_margins():
+    """Keep the branch margins recorded while the block runs, in the list
+    it yields."""
+    global _margins
+    saved = _margins, formula.vsqrt
+    _margins = []
+    formula.vsqrt = _recorded(vsqrt, sqrt_margins)
+    try:
+        yield _margins
+    finally:
+        _margins, formula.vsqrt = saved
+
+
+def _recorded(fn, margins):
+    """`fn`, recording `margins` of its operands' values first while a
+    recorder is open."""
+
+    def run(*args):
+        if _margins is not None:
+            _margins.extend(np.abs(m) for m in margins(*(val(a) for a in args)))
+        return fn(*args)
+
+    return run
+
+
+def no_margins(*args):
+    return []
+
+
+def sqrt_margins(v):
+    # the root's slope is unbounded as v -> 0
+    return [v]
+
+
+def pow_margins(a, b):
+    """vpow(a, b): its slope in the base is unbounded as a -> 0 where b < 1."""
+    return [np.where(np.less(b, 1.0), a, np.inf)]
+
+
+def godel_margins(x, y):
+    """max(x, y) or min(x, y), and Godel's implication."""
+    return [x - y]
+
+
+def godel_fold_margins(x):
+    """The fold of min: the running min against each next conjunct."""
+    return list(np.moveaxis(np.minimum.accumulate(x[..., :-1], axis=-1) - x[..., 1:], -1, 0))
+
+
+def lukasiewicz_fold_margins(x):
+    """The fold's step (acc + x_k) - 1 before its max with 0, for each
+    conjunct after the first, summed in `agg_lukasiewicz`'s order: the
+    running sum while every step so far is live, x_k - 1 once the fold is
+    pinned at 0."""
+    z = np.full(x.shape[:-1] + (2 * x.shape[-1] - 1,), -1.0)
+    z[..., 0] = x[..., 0]
+    z[..., 1::2] = x[..., 1:]
+    sums = np.add.accumulate(z, axis=-1)[..., 2::2]
+    live = np.ones(sums.shape, dtype=bool)
+    live[..., 1:] = np.logical_and.accumulate(sums[..., :-1] > 0.0, axis=-1)
+    return list(np.moveaxis(np.where(live, sums, x[..., 1:] - 1.0), -1, 0))
+
+
+def yager_fold_margins(x, p):
+    """Each step of the fold: the root's base, where p > 1, and 1 - w."""
+    ux = pow_parts(1.0 - x[..., 1:], p)[0]
+    acc = x[..., 0]
+    out = []
+    for k in range(ux.shape[-1]):
+        base = pow_parts(1.0 - acc, p)[0] + ux[..., k]
+        if p > 1.0:
+            out.append(base)
+        s = 1.0 - pow_parts(base, 1.0 / p)[0]
+        out.append(s)
+        acc = np.where(s > 0.0, s, 0.0)
+    return out
+
+
+def lukasiewicz_snorm_margins(x, y):
+    """min(1, x + y)."""
+    return [1.0 - (x + y)]
+
+
+def yager_snorm_margins(x, y, p):
+    """min(1, (x^p + y^p)^(1/p)), as `s_yager` composes it."""
+    base = vpow(x, p) + vpow(y, p)
+    return pow_margins(x, p) + pow_margins(y, p) + pow_margins(base, 1.0 / p) + [1.0 - vpow(base, 1.0 / p)]
+
+
+def kleene_dienes_margins(x, y):
+    """max(1 - x, y)."""
+    return [(1.0 - x) - y]
+
+
+def lukasiewicz_impl_margins(x, y):
+    """min(1 - x + y, 1)."""
+    return [(1.0 - x + y) - 1.0]
+
+
+def yager_impl_margins(x, y):
+    """y ** x."""
+    return pow_margins(y, x)
+
+
+def goguen_margins(x, y):
+    """The branch at x <= y, and the divisor x where it divides: y/x
+    steepens without bound as x -> 0."""
+    return [x - y, np.where(np.greater(x, y), x, np.inf)]
+
+
+def rc_phi_margins(x, y):
+    """The square root of Reichenbach's implication of x^2 and y^2."""
+    return sqrt_margins(i_reichenbach(x * x, y * y))
+
+
+def fuzzy_le_margins(x, y):
+    """`fuzzy_le(x, y)`: its hinge at x - y, then |x| and |y|."""
+    return [x - y, x, y]
+
+
+def fuzzy_compare_margins(backend):
+    """`backend.compare` of a fuzzy backend: `fuzzy_le` one way or the
+    other, and a fuzzy `==` or `!=` both ways and then the two-slot
+    reduction of their truths by `backend.conj`, the conjunction that
+    `make_backend` binds into its comparisons."""
+    conj = _with_p(backend.conj, _CONJUNCTION_MARGINS)
+
+    def margins(op, x, y):
+        if op in ("<=", "<"):
+            return fuzzy_le_margins(x, y)
+        if op in (">=", ">"):
+            return fuzzy_le_margins(y, x)
+        both = np.stack(np.broadcast_arrays(backend.compare("<=", x, y), backend.compare("<=", y, x)), axis=-1)
+        return fuzzy_le_margins(x, y) + fuzzy_le_margins(y, x) + conj(both)
+
+    return margins
+
+
+def dl2_compare_margins(op, x, y):
+    """dl2's atom: each hinge at its x - y, and the tie indicator of a
+    strict or `!=` comparison at x - y."""
+    return {
+        "<=": [x - y],
+        "<": [x - y, x - y],
+        ">=": [y - x],
+        ">": [y - x, x - y],
+        "==": [x - y, y - x],
+        "!=": [x - y],
+    }[op]
+
+
+_CONJUNCTION_MARGINS = {
+    agg_godel: godel_fold_margins,
+    agg_lukasiewicz: lukasiewicz_fold_margins,
+    agg_yager: yager_fold_margins,
+    agg_product: no_margins,
+    agg_sum: no_margins,
+}
+_DISJUNCTION_MARGINS = {
+    s_godel: godel_margins,
+    s_lukasiewicz: lukasiewicz_snorm_margins,
+    s_yager: yager_snorm_margins,
+    s_prob_sum: no_margins,
+    operator.mul: no_margins,
+}
+_IMPLICATION_MARGINS = {
+    i_godel: godel_margins,
+    i_kleene_dienes: kleene_dienes_margins,
+    i_lukasiewicz: lukasiewicz_impl_margins,
+    i_yager: yager_impl_margins,
+    i_goguen: goguen_margins,
+    i_reichenbach: no_margins,
+}
+# the reshaped Reichenbach implications, by backend name
+_RESHAPED_MARGINS = {"rc-s": no_margins, "rc-phi": rc_phi_margins}
+
+
+def _with_p(fn, table):
+    """The margins of `fn` from `table`, where a Yager operator is a
+    partial that binds its p."""
+    if isinstance(fn, functools.partial):
+        return functools.partial(table[fn.func], **fn.keywords)
+    return table[fn]
+
+
+def margin_backend(backend):
+    """`backend` recording the branch margins of each connective and
+    comparison from its operands, then running `backend`'s own."""
+    impl = None
+    if backend.impl is None:
+        compare = _recorded(backend.compare, dl2_compare_margins)
+    else:
+        margins = _RESHAPED_MARGINS.get(backend.name) or _IMPLICATION_MARGINS[backend.impl]
+        impl = _recorded(backend.impl, margins)
+        compare = _recorded(backend.compare, fuzzy_compare_margins(backend))
+    return LogicBackend(
+        name=backend.name,
+        conj=_recorded(backend.conj, _with_p(backend.conj, _CONJUNCTION_MARGINS)),
+        disj=_recorded(backend.disj, _with_p(backend.disj, _DISJUNCTION_MARGINS)),
+        impl=impl,
+        compare=compare,
+    )

@@ -13,7 +13,6 @@ from logicloss.autodiff import (
     gather,
     grad,
     sum_entries,
-    track_branch_margins,
     val,
     var,
     vmax,
@@ -236,20 +235,6 @@ def test_determinism_bit_identical():
         return val(z), g[x], g[y]
 
     assert build() == build()
-
-
-def test_margin_tracking():
-    with track_branch_margins() as margins:
-        vmax(var(0.4), 0.1)
-    assert margins == [pytest.approx(0.3)]
-    # outside the context nothing is recorded and nothing breaks
-    vmax(var(0.4), 0.1)
-    with track_branch_margins() as margins:
-        vmin(2.0, 5.0)
-        vabs(var(-0.25))
-        vpow(var(0.2), 0.5)
-        vsqrt(var(0.09))
-    assert margins == [3.0, 0.25, pytest.approx(0.2), pytest.approx(0.09)]
 
 
 @given(st.floats(-30, 30), st.floats(-30, 30))

@@ -21,7 +21,6 @@ from logicloss.autodiff import (
     Node,
     grad,
     select,
-    track_branch_margins,
     val,
     var,
     vmax,
@@ -30,10 +29,11 @@ from logicloss.autodiff import (
     vsqrt,
 )
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
-from logicloss.formula import batch_env
+from logicloss.experiment import ExperimentConfig, _training_backend
+from logicloss.formula import batch_env, sample_rows
 from logicloss.logics import BACKEND_NAMES, _clip01, i_godel, i_goguen, loss_function, make_backend
 from logicloss.network import _logic_grads
-from oracles import vabs
+from oracles import margin_backend, track_branch_margins, vabs
 
 N_CLASSES = 10
 N_INPUTS = 4
@@ -49,8 +49,8 @@ _FORMULAS = {
 COMBOS = [(b, c) for b in BACKEND_NAMES for c in _FORMULAS]
 
 
-def _compiled(backend_name, constraint):
-    backend = make_backend(backend_name)
+def _compiled(backend_name, constraint, wrap=lambda backend: backend):
+    backend = wrap(make_backend(backend_name))
     return loss_function(_FORMULAS[constraint], backend), constraint == "lipschitz"
 
 
@@ -274,7 +274,7 @@ def test_a_batch_records_per_row_the_margins_of_that_row_scored_alone():
     probs[3, 4] = probs[3, 5]  # a tie inside the row
     X = rng.normal(size=(6, N_INPUTS))
     for backend_name, constraint in COMBOS:
-        fn, paired = _compiled(backend_name, constraint)
+        fn, paired = _compiled(backend_name, constraint, margin_backend)
         with track_branch_margins() as batch:
             _logic_grads(fn, paired, _columns(probs), _columns(X), LAM)
         assert batch, (backend_name, constraint)
@@ -287,17 +287,55 @@ def test_a_batch_records_per_row_the_margins_of_that_row_scored_alone():
 
 
 def test_margins_are_each_rows_distance_from_its_branch_boundary():
-    from logicloss.logics import _dl2_eq_indicator
-
     x, y = var(np.array([0.6, 0.1])), np.array([0.25, 0.3])
+    kd, godel, gg, dl2 = (margin_backend(make_backend(name)) for name in ("kd", "godel", "gg", "dl2"))
     with track_branch_margins() as margins:
-        for op in (vmax, i_godel, i_goguen, _dl2_eq_indicator):
+        # max(x, y), the Godel and Goguen implications, and dl2's x != y
+        for op in (kd.disj, godel.impl, gg.impl, lambda a, b: dl2.compare("!=", a, b)):
             op(x, y)
     # |x - y| for each op, and i_goguen's divisor x on the row that divides
     want = [[0.35, 0.2]] * 3 + [[0.6, np.inf], [0.35, 0.2]]
     assert len(margins) == len(want)
     for got, w in zip(margins, want):
         np.testing.assert_allclose(got, w, rtol=1e-15)
+
+
+def test_norm2_records_its_square_root():
+    out, out2 = np.array([[0.2, 0.5], [0.8, 0.5]]), np.array([[0.2, 0.1], [0.8, 0.9]])
+    ins, ins2 = np.array([[0.0, 1.0]]), np.array([[0.5, 1.0]])
+    fn = loss_function(_FORMULAS["lipschitz"], margin_backend(make_backend("dl2")))
+    with track_branch_margins() as margins:
+        fn(batch_env([var(out), var(out2)], [ins, ins2]))
+    # |out - out'|^2 and |in - in'|^2 under the roots, then the hinge
+    np.testing.assert_allclose(margins[0], [0.0, 0.32], rtol=1e-15)
+    np.testing.assert_allclose(margins[1], [0.25, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(margins[2], [0.9, np.sqrt(0.32)], rtol=1e-15)
+    assert len(margins) == 3
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["make_backend", "training_backend"])
+def test_margin_backend_keeps_the_values_and_leaf_gradients_of_its_backend(pinned):
+    rng = np.random.default_rng(4)
+    probs = rng.dirichlet(np.ones(N_CLASSES), size=7)
+    X = rng.normal(size=(7, N_INPUTS))
+    for backend_name, constraint in COMBOS:
+        if pinned:
+            backend = _training_backend(ExperimentConfig(backend=backend_name, constraint=constraint))
+        else:
+            backend = make_backend(backend_name)
+        _, rows = sample_rows(len(probs), constraint == "lipschitz")
+        scored = []
+        for b in (backend, margin_backend(backend)):
+            leaves = [var(_columns(probs[r])) for r in rows]
+            with track_branch_margins():
+                lv = loss_function(_FORMULAS[constraint], b)(batch_env(leaves, [_columns(X[r]) for r in rows]))
+            g = grad(lv, leaves) if isinstance(lv, Node) else {}
+            scored.append((isinstance(lv, Node), val(lv), [g.get(leaf) for leaf in leaves]))
+        (node, value, grads), (m_node, m_value, m_grads) = scored
+        label = (backend_name, constraint)
+        assert node == m_node and np.array_equal(value, m_value), label
+        for g, m_g in zip(grads, m_grads):
+            assert (g is None and m_g is None) or np.array_equal(g, m_g), label
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])

@@ -14,6 +14,10 @@ def _run(pair, side, ref_ms=None, **metrics):
     return {"pair": pair, "side": side, "metrics": metrics, "wall_samples_per_s": None, "ref_ms": ref_ms}
 
 
+def _faulted(pair, side, minflt):
+    return {**_run(pair, side), "minflt": minflt}
+
+
 def test_a_tied_pair_is_won_by_neither_side():
     runs = [_run(0, "parent", rate=5.0), _run(0, "change", rate=5.0),
             _run(1, "parent", rate=5.0), _run(1, "change", rate=6.0)]
@@ -50,3 +54,20 @@ def test_a_metric_missing_on_one_side_is_left_out():
 
 def test_quartiles_of_one_value():
     assert bench_pairs._quartiles([3.5]) == (3.5, 3.5, 3.5)
+
+
+def test_fewer_page_faults_win():
+    runs = [_faulted(0, "parent", 400), _faulted(0, "change", 40),
+            _faulted(1, "parent", 40), _faulted(1, "change", 400)]
+    row = bench_pairs.summarize(runs, bench_pairs._RAW)["minflt"]
+    assert (row["change_won"], row["pairs"]) == (1, 2)
+    assert bench_pairs._RAW["minflt"] == "lower"
+
+
+def test_a_run_recorded_without_page_faults_still_summarizes():
+    # runs from before `minflt` was recorded have no such key
+    runs = [_run(0, "parent", ref_ms=2.0), _run(0, "change", ref_ms=1.0),
+            _faulted(1, "parent", 50), _faulted(1, "change", 60)]
+    out = bench_pairs.summarize(runs, bench_pairs._RAW)
+    assert out["minflt"] == {"parent": [50, 50, 50], "change": [60, 60, 60], "change_won": 0, "pairs": 1}
+    assert out["ref_ms"]["pairs"] == 1 and out["ref_ms"]["change_won"] == 1

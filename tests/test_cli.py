@@ -265,6 +265,26 @@ def test_tables_synthetic(capsys):
     assert "synthetic (6 classes)" in out
 
 
+@pytest.mark.parametrize("dataset", ["fmnist", "cifar10", "gtsrb"])
+def test_tables_n_classes_with_a_built_in_dataset_is_usage_error(capsys, dataset):
+    code = main(["tables", "--dataset", dataset, "--n-classes", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --n-classes sizes only the synthetic tables")
+
+
+def test_tables_synthetic_defaults_to_ten_classes(capsys):
+    assert main(["tables", "--dataset", "synthetic"]) == 0
+    assert "synthetic (10 classes)" in capsys.readouterr().out
+
+
+def test_train_with_an_idx_spec_of_one_file_is_usage_error(capsys):
+    code = main(["train", "--dataset", "idx:x"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: dataset='idx:x': an idx dataset names two files, idx:<images>,<labels>\n"
+
+
 def test_report_io_error_is_runtime(tmp_path, capsys):
     code = main(
         ["train", "--logic", "rc", "--lambda", "0", "--report",

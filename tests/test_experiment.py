@@ -431,6 +431,19 @@ def test_paired_constraint_rejects_one_sample_sizes_before_any_data_loads(monkey
     ExperimentConfig(constraint="lipschitz", **{key: 2})
 
 
+@pytest.mark.parametrize("spec", ["idx:x", "idx:a,b,c", "idx:", "idx:a,"])
+def test_an_idx_spec_that_does_not_name_two_files_fails_when_the_config_is_built(tmp_path, spec):
+    message = "an idx dataset names two files, idx:<images>,<labels>"
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(dataset=spec)
+    assert str(info.value) == f"dataset={spec!r}: {message}"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"epochs = 3\ndataset = {spec}\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:2: dataset={spec!r}: {message}"
+
+
 def test_paired_constraint_reads_the_split_sizes_of_the_synthetic_dataset_only():
     ExperimentConfig(constraint="lipschitz", dataset="idx:a,b", n_train=1, n_test=1)
     with pytest.raises(ValueError, match="^batch_size=1"):

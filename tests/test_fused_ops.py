@@ -4,17 +4,16 @@ their composed references.
 `logics.fuzzy_le`, `logics.dl2_hinge`, `logics.i_reichenbach` and
 `logics.s_prob_sum` each record one tape node with closed-form partials.
 Each must give the value of the same operator built from tape primitives
-(`oracles.*_composed`) bit for bit, partials that agree with that
-reference's `grad` to 1e-15 of the largest, and the same branch margins in
-the same order.  The cases put a node, a bare array, a float or nothing
-on either side, with ties (x == y), zeros (the kink of |x|) and masks that
-are the same on every row.
+(`oracles.*_composed`) bit for bit, and partials that agree with that
+reference's `grad` to 1e-15 of the largest.  The cases put a node, a bare
+array, a float or nothing on either side, with ties (x == y), zeros (the
+kink of |x|) and masks that are the same on every row.
 """
 
 import numpy as np
 import pytest
 
-from logicloss.autodiff import Node, grad, track_branch_margins, val, var
+from logicloss.autodiff import Node, grad, val, var
 from logicloss.constraints import csim_formula, group_formula, synthetic_tables
 from logicloss.formula import batch_env
 from logicloss.logics import dl2_hinge, fuzzy_le, i_reichenbach, loss_function, make_backend, s_prob_sum
@@ -74,26 +73,15 @@ def _cases():
                 yield pytest.param(op, x, y, FORMS[form], id=f"{op}-scalar_{name}-{form}")
 
 
-def _margins(fn, x, y):
-    with track_branch_margins() as margins:
-        out = fn(x, y)
-    return out, margins
-
-
 @pytest.mark.parametrize("op, xs, ys, hows", list(_cases()))
 def test_one_node_op_matches_its_composed_reference(op, xs, ys, hows):
     fused, composed = OPS[op]
     x, y = _operand(xs, hows[0]), _operand(ys, hows[1])
-    got, got_margins = _margins(fused, x, y)
-    want, want_margins = _margins(composed, x, y)
+    got, want = fused(x, y), composed(x, y)
 
     assert isinstance(got, Node) == isinstance(want, Node)
     assert np.shape(val(got)) == np.shape(val(want))
     assert np.array_equal(val(got), val(want))
-
-    assert len(got_margins) == len(want_margins)
-    for g, w in zip(got_margins, want_margins):
-        assert np.array_equal(g, w)
 
     leaves = [v for v in (x, y) if isinstance(v, Node)]
     if not isinstance(got, Node):

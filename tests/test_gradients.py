@@ -6,6 +6,8 @@ and columns 2i+1 and 2i+2 hold it with entry i moved up and down by h.
 Column 0's gradient is the analytic one; the other columns' losses give
 the central differences.
 
+Each loss is compiled under `oracles.margin_backend`, which records the
+branch margins of every connective and comparison as the point is scored.
 Sampling policy: a branch margin of the point in (0, 1e-3] means the
 evaluation passed within finite-difference reach of a kink or
 singularity, so the point is redrawn.  A margin of exactly 0 is kept: with
@@ -21,7 +23,7 @@ import random
 import numpy as np
 import pytest
 
-from logicloss.autodiff import Node, grad, track_branch_margins, val, var
+from logicloss.autodiff import Node, grad, val, var
 from logicloss.constraints import (
     csim_formula,
     group_formula,
@@ -30,6 +32,8 @@ from logicloss.constraints import (
 )
 from logicloss.formula import Env
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
+
+from oracles import margin_backend, track_branch_margins
 
 N_CLASSES = 10
 N_POINTS = 1000
@@ -111,7 +115,7 @@ def _check_pair(fn, point, paired, inputs, inputs2):
 
 @pytest.mark.parametrize("name", BACKEND_NAMES)
 def test_gradient_matches_finite_differences(name):
-    backend = make_backend(name)
+    backend = margin_backend(make_backend(name))
     rng = random.Random(1000 + BACKEND_NAMES.index(name))
     for label, formula, paired in _constraint_suite(backend):
         fn = loss_function(formula, backend)

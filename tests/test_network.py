@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from logicloss.autodiff import grad, track_branch_margins
+from logicloss.autodiff import grad
 from logicloss.constraints import csim_formula, group_formula, lipschitz_formula, synthetic_tables
 from logicloss.formula import Cmp, Const, Env, Output
 from logicloss.logics import BACKEND_NAMES, loss_function, make_backend
@@ -25,9 +25,11 @@ from logicloss.network import (
 from oracles import (
     dense_forward_batch,
     dense_loss_gradients,
+    margin_backend,
     rowmajor_forward_batch,
     rowmajor_loss_gradients,
     tape_loss,
+    track_branch_margins,
 )
 
 
@@ -133,7 +135,8 @@ def _clear_of_kinks(m, X, fn):
             return False
         if np.abs(row[:, None] - row[None, :])[~np.eye(n, dtype=bool)].min() <= 1e-4:
             return False
-    # one pass over the batch records each row's margins
+    # one pass over the batch records each row's margins; `fn` is compiled
+    # under `margin_backend`
     with track_branch_margins() as margins:
         fn(Env(outputs=probs.T))
     return not any(np.any((0.0 < m_) & (m_ <= 1e-4)) for m_ in margins)
@@ -153,7 +156,7 @@ def test_full_gradient_matches_finite_differences(name):
     backend = make_backend(name)
     constraint = csim_formula(synthetic_tables(3).triples, 3)
     m = init_model([2, 4, 3], seed=11)
-    X, y = _nondegenerate_batch(m, loss_function(constraint, backend), n=4)
+    X, y = _nondegenerate_batch(m, loss_function(constraint, margin_backend(backend)), n=4)
     lam = 0.7
 
     ce, logic, gw, gb = loss_gradients(m, X, y, lam, backend, constraint)

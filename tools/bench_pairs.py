@@ -12,17 +12,21 @@ the two sides differ in nothing but the tree the link names.  Pair i runs
 both sides on seed 7 + i, the parent first in even pairs and the change
 first in odd ones.  No bytecode is written, so neither tree is changed.
 
-For every end-to-end metric, and for the raw (unscaled) wall rate and the
-reference pass that perfbench prints, the summary gives each side's median
-and quartiles and the number of pairs the change won.  Each run is added
-to the JSON file --out as it ends, in place of any runs of the workload
-that the file held before, and the summary of the runs when all have.
+For every end-to-end metric, for the raw (unscaled) wall rate and the
+reference pass that perfbench prints, and for the minor page faults of the
+whole run (`minflt`, read from `getrusage` around the child), the summary
+gives each side's median and quartiles and the number of pairs the change
+won; a pair recorded without one of the raw values is left out of its
+row.  Each run is added to the JSON file --out as it ends, in place of any
+runs of the workload that the file held before, and the summary of the
+runs when all have.
 """
 
 import argparse
 import json
 import os
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -36,8 +40,9 @@ SEED = 7  # pair i runs on seed SEED + i
 
 # perfbench's stderr line: "... N samples per wall second, reference pass M ms"
 _WALL = re.compile(r"([0-9.eE+-]+) samples per wall second, reference pass ([0-9.eE+-]+) ms")
-# not scaled to the reference speed; higher wall rates and lower passes are better
-_RAW = {"wall_samples_per_s": "higher", "ref_ms": "lower"}
+# not scaled to the reference speed; higher wall rates, lower passes and
+# fewer page faults are better
+_RAW = {"wall_samples_per_s": "higher", "ref_ms": "lower", "minflt": "lower"}
 
 
 def _tree(path):
@@ -69,11 +74,14 @@ def _link(checkout, src):
 
 def run_once(checkout, workload, seed, seconds):
     """One perfbench run in `checkout`: its result object, with the raw
-    wall rate and reference pass read from its stderr."""
+    wall rate and reference pass read from its stderr and the run's minor
+    page faults."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: perfbench failed ({proc.returncode}):\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -84,6 +92,7 @@ def run_once(checkout, workload, seed, seconds):
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "wall_samples_per_s": float(wall.group(1)) if wall else None,
         "ref_ms": float(wall.group(2)) if wall else None,
+        "minflt": faults,
     }
 
 
@@ -95,7 +104,7 @@ def _quartiles(values):
 
 
 def _value(run, name):
-    return run[name] if name in _RAW else run["metrics"].get(name)
+    return run.get(name) if name in _RAW else run["metrics"].get(name)
 
 
 def summarize(runs, better):
@@ -158,7 +167,7 @@ def main(argv=None):
                        **run_once(checkout, args.workload, SEED + i, args.seconds)}
                 record["runs"].append(run)
                 print(f"pair {i} {side}: samples_per_s {run['metrics'].get('samples_per_s', 0):.6g}, "
-                      f"setup_s {run['metrics'].get('setup_s', 0):.4g}, failed {run['failed']}", file=sys.stderr)
+                      f"setup_s {run['metrics'].get('setup_s', 0):.4g}, minflt {run['minflt']}, failed {run['failed']}", file=sys.stderr)
                 out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
         if args.checkout:
