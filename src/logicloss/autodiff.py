@@ -409,8 +409,10 @@ def vpow(a, b):
         # partial does not; on those rows it is bv * v / base
         with np.errstate(over="ignore", invalid="ignore"):
             v, da = pow_parts(av, bv)
-        lost = ~np.isfinite(da) & np.isfinite(v)
-        da = np.where(lost, bv * np.where(lost, v, 0.0) / np.where(lost, av, 1.0), da)
+        # only a node's partial is used, so only a node's may warn
+        if isinstance(a, Node):
+            lost = ~np.isfinite(da) & np.isfinite(v)
+            da = np.where(lost, bv * np.where(lost, v, 0.0) / np.where(lost, av, 1.0), da)
     else:
         v, da = pow_parts(av, bv)
     return record(v, (a, da), (b, lambda: np.where(zero, 0.0, v * np.log(np.where(zero, 1.0, av)))))

@@ -114,6 +114,13 @@ def test_pow_base_partial_at_a_subnormal_base_does_not_overflow():
     assert grad(p, [b])[b] == np.inf
 
 
+def test_pow_of_plain_values_at_a_subnormal_base_does_not_warn():
+    # no node, no partial: the overflow of an unused partial is not reported
+    tiny = np.nextafter(0.0, 1.0)
+    v = vpow(np.array([tiny, 0.25]), np.array([0.03125, 0.5]))
+    np.testing.assert_allclose(v, [tiny**0.03125, 0.5], rtol=1e-15)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         vln(var(-1.0))
